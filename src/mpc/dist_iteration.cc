@@ -86,7 +86,7 @@ DistIterationResult distIterationKernel(MpcSimulator& sim, const Graph& g,
     // filtering, and re-shipping (which is what the coordinator-built path
     // did), with the same — free — ledger.
     const runtime::KernelId kSeg =
-        detail::ensureKernel<SegMinKernel<CandTuple, CandKey, CandBetter>>(eng);
+        runtime::ensureKernel<SegMinKernel<CandTuple, CandKey, CandBetter>>(eng);
     // Leased / DistVector-owned from birth: a thrown round leaves the
     // engine usable by contract, so a retrying caller must not find dead
     // blocks accumulating in the workers.
@@ -94,7 +94,7 @@ DistIterationResult distIterationKernel(MpcSimulator& sim, const Graph& g,
         eng, eng.createBlocks(std::vector<std::vector<Word>>(p)));
     eng.stepLocal(kSeg, {kSegPhaseEmit, reducedBlocks.handle()});
 
-    const runtime::KernelId kFilter = detail::ensureKernel<
+    const runtime::KernelId kFilter = runtime::ensureKernel<
         FilterScatterKernel<CandTuple, SampledClusterPred>>(eng);
     const std::vector<Word> bits = runtime::packArgBits(sampled);
     std::vector<Word> countArgs{kFilterPhaseCount, reducedBlocks.handle(),

@@ -1,15 +1,12 @@
 // Registered step kernels and worker-owned state — the resident half of the
 // round-engine runtime.
 //
-// The legacy RoundEngine::step(StepFn) closure cannot outlive a process
-// boundary: under the sharded backend it executes against a fork snapshot,
-// so its captured-state mutations die with the worker. A *registered* kernel
-// inverts that contract: the engine constructs one kernel instance per
-// worker process (or one in-process instance when shards == 1), and that
-// instance **owns** its per-machine state across rounds — per-machine
-// inboxes and blocks stay resident where they are used and are never
-// re-shipped through the coordinator. What the legacy path expressed as
-// "StepFn must be pure" becomes explicit ownership: anything a kernel wants
+// A RoundEngine::step(StepFn) closure cannot cross a process boundary, so
+// it runs in-process only. A *registered* kernel can: the engine constructs
+// one kernel instance per worker process (or one in-process instance when
+// shards == 1), and that instance **owns** its per-machine state across
+// rounds — per-machine inboxes and blocks stay resident where they are used
+// and are never re-shipped through the coordinator. Anything a kernel wants
 // to persist lives in the kernel instance or the BlockStore, and anything
 // it wants to communicate moves through returned messages.
 //
@@ -36,7 +33,7 @@ namespace mpcspan::runtime {
 
 /// Handle for a kernel registered on one RoundEngine. Deliberately a struct
 /// (not a bare index) so RoundEngine::step(KernelId, args) can never be
-/// confused with the legacy closure overload.
+/// confused with the closure overload.
 struct KernelId {
   static constexpr std::size_t kInvalid = static_cast<std::size_t>(-1);
   std::size_t index = kInvalid;

@@ -131,7 +131,7 @@ std::vector<WireReader> meshExchange(std::vector<WireFd>& peers,
                                      std::size_t self,
                                      const std::vector<std::uint64_t>& counts,
                                      const std::vector<WireWriter>& sections,
-                                     const DeadlineBudget* budget) {
+                                     const util::DeadlineBudget* budget) {
   const std::size_t n = peers.size();
   std::vector<PeerOut> outs(n);
   std::vector<PeerIn> ins(n);

@@ -1,20 +1,17 @@
-// Worker-to-worker exchange mesh for the resident shard backend.
+// Worker-to-worker exchange mesh for the shard backend.
 //
-// With the peer exchange enabled (MPCSPAN_PEER_EXCHANGE, default on), every
-// pair of resident workers shares a dedicated nonblocking AF_UNIX
-// socketpair, created by the coordinator *before the first fork* so each
-// worker can inherit exactly its own row of the mesh. After local phase-A
-// validation, each worker ships its cross-shard sections straight to the
-// destination workers over these sockets; the coordinator never relays a
-// payload byte — it only arbitrates the round barrier (per-shard verdicts
-// in, one-byte go/commit out), so per-round coordinator traffic is
-// O(shards) and per-round wall-clock scales with per-shard traffic, not
-// total traffic.
+// Every pair of workers shares one nonblocking stream: a pre-fork AF_UNIX
+// socketpair (created by the coordinator *before the first fork* so each
+// worker inherits exactly its own row) or, under kTcp, a TCP connection
+// formed by rendezvous. Under kShmRing the socketpairs only carry doorbell
+// bytes and the sections move through shared-memory rings (shm_ring.hpp);
+// under kTcp meshExchange ships the sections over the streams themselves.
+// The coordinator never relays a payload byte — it only arbitrates the
+// round barrier, so its per-round traffic is O(shards).
 //
-// The section row format is shared with the coordinator-relay path
-// ((src, dst, len, words) per row, rows in (src asc, send-position asc)
-// order within a section), and receivers merge sections in ascending source
-// shard order — so peer and relay rounds are bit-identical by construction.
+// Section rows are (src, dst, len, words), in (src asc, send-position asc)
+// order within a section, and receivers merge sections in ascending source
+// shard order — so every transport delivers bit-identically.
 #pragma once
 
 #include <cstddef>
@@ -25,6 +22,7 @@
 #include "runtime/shard/transport.hpp"
 #include "runtime/shard/wire.hpp"
 #include "runtime/types.hpp"
+#include "util/deadline.hpp"
 
 namespace mpcspan::runtime::shard {
 
@@ -58,7 +56,7 @@ std::vector<WireReader> meshExchange(std::vector<WireFd>& peers,
                                      std::size_t self,
                                      const std::vector<std::uint64_t>& counts,
                                      const std::vector<WireWriter>& sections,
-                                     const DeadlineBudget* budget = nullptr);
+                                     const util::DeadlineBudget* budget = nullptr);
 
 /// Merges `count` section rows (src, dst, len, words) into the projected
 /// round view: pass 1 vets every header (src in [srcLo, srcHi), dst in

@@ -40,7 +40,7 @@ std::uint8_t classify(std::string& err) {
   }
 }
 
-void spinAwaitReadable(int fd, const DeadlineBudget* budget) {
+void spinAwaitReadable(int fd, const util::DeadlineBudget* budget) {
   constexpr int kBarrierSpins = 128;
   for (int i = 0; i < kBarrierSpins; ++i) {
     if (budget != nullptr && budget->expired()) return;
@@ -62,12 +62,6 @@ std::vector<Word> readArgs(WireReader& r) {
   std::vector<Word> args(argc);
   r.words(args.data(), argc);
   return args;
-}
-
-void writeRows(WireWriter& w, const std::vector<Message>& outbox) {
-  w.u64(outbox.size());
-  for (const Message& m : outbox)
-    w.idRow(m.dst, m.payload.data(), m.payload.size());
 }
 
 std::vector<std::vector<Ref>> indexByDst(

@@ -6,9 +6,7 @@
 // Everything here used to live in sharded_engine.cc's anonymous namespace;
 // it moved out when Transport::kTcp made the worker loop reachable from a
 // *different binary* (tools/mpcspan_worker), which must agree with the
-// coordinator on every byte. The frame helpers are templated over the wire
-// type so the same code drives a raw WireFd (fork-per-round waves) and a
-// Channel (resident workers, deadline-paced tcp channels).
+// coordinator on every byte.
 #pragma once
 
 #include <cstddef>
@@ -44,7 +42,7 @@ inline constexpr std::uint8_t kOpFreeBlocks = 8;
 inline constexpr std::uint8_t kOpFetchInboxes = 9;
 inline constexpr std::uint8_t kOpShutdown = 10;
 // Remote-attach provisioning: the engine state a fork snapshot would have
-// carried (dimensions, topology descriptor, kernel names, blocks, inboxes),
+// carried (dimensions, topology descriptor, kernel names, blocks),
 // sent to a worker that dialed in over tcp instead of being forked. See
 // worker_loop.hpp.
 inline constexpr std::uint8_t kOpSetup = 11;
@@ -84,9 +82,6 @@ void spinAwaitReadable(int fd, const util::DeadlineBudget* budget = nullptr);
 /// Broadcast kernel args on the wire: u64 count + words.
 void writeArgs(WireWriter& w, const std::vector<Word>& args);
 std::vector<Word> readArgs(WireReader& r);
-
-/// Serializes one machine's outbox section in the parseRows format.
-void writeRows(WireWriter& w, const std::vector<Message>& outbox);
 
 /// Reference to one message of a projected round view, in global delivery
 /// order (source id, send position).
@@ -132,7 +127,7 @@ void parseRows(WireReader& r, std::size_t lo, std::size_t hi,
   }
 }
 
-/// Sends a {kind, words | error} report. Wire is WireFd or Channel.
+/// Sends a {kind, words | error} report.
 template <class Wire>
 void writeReport(Wire& fd, std::uint8_t kind, const std::string& err,
                  std::uint64_t words = 0) {

@@ -157,7 +157,7 @@ bool pumpShmRecv(ShmArena& arena, std::size_t from, std::size_t self,
         progress = true;
         continue;
       }
-      // Same plausibility vet as the socket mesh: the body always leads
+      // Same plausibility vet as the tcp mesh: the body always leads
       // with a u64 row count, and nothing legitimate exceeds the frame
       // cap. A garbled ring header dies here, before any allocation.
       if (len < sizeof(std::uint64_t) || len > kMaxFrameBytes)
@@ -243,7 +243,9 @@ std::size_t defaultShmRingBytes() {
 }
 
 ShmArena::ShmArena(std::size_t workers, std::size_t ringBytes)
-    : workers_(workers), ringBytes_(std::bit_ceil(ringBytes)) {
+    : workers_(workers),
+      ringBytes_(std::bit_ceil(ringBytes)),
+      deferred_(workers * workers, 0) {
   if (ringBytes_ < (std::size_t{1} << 12)) ringBytes_ = std::size_t{1} << 12;
   mapBytes_ = workers_ * workers_ * slotBytes();
   // A name collision is possible across processes; retry with a fresh
@@ -293,13 +295,16 @@ std::uint8_t* ShmArena::data(std::size_t from, std::size_t to) const {
 
 void ShmArena::deferRelease(std::size_t from, std::size_t to,
                             std::uint64_t newConsumed) {
-  pending_.push_back({from, to, newConsumed});
+  deferred_[from * workers_ + to] = newConsumed;
 }
 
-void ShmArena::releaseInbound() {
-  for (const Pending& p : pending_)
-    hdr(p.from, p.to).consumed.store(p.newConsumed, std::memory_order_release);
-  pending_.clear();
+void ShmArena::releaseInbound(std::size_t to) {
+  for (std::size_t from = 0; from < workers_; ++from) {
+    std::uint64_t& pos = deferred_[from * workers_ + to];
+    if (pos == 0) continue;
+    hdr(from, to).consumed.store(pos, std::memory_order_release);
+    pos = 0;
+  }
 }
 
 ShmSendState beginShmSend(ShmArena& arena, std::size_t self,
@@ -321,7 +326,6 @@ ShmSendState beginShmSend(ShmArena& arena, std::size_t self,
     o.rowsLen = sections[t].size();
     o.bodyLen = sizeof(std::uint64_t) + o.rowsLen;
     o.contiguous = o.bodyLen <= cap - sizeof(std::uint64_t);
-    o.savedProduced = o.h->produced.load(std::memory_order_relaxed);
     o.done = false;
     // Pre-write as much as the ring accepts right now, and wake the
     // receiver: with the fused barrier a faster peer may already be
@@ -330,18 +334,6 @@ ShmSendState beginShmSend(ShmArena& arena, std::size_t self,
     if (pumpShmSend(o)) ringDoorbell(doorbells[t]);
   }
   return st;
-}
-
-void abortShmSend(ShmSendState& st) {
-  for (ShmSendFrame& o : st.outs) {
-    if (o.h == nullptr) continue;
-    // Receivers only read their rings after the go byte, and an aborted
-    // round never issues one — nothing we pre-wrote was observed, so a
-    // plain cursor rewind erases the frame on every peer at once.
-    o.h->produced.store(o.savedProduced, std::memory_order_release);
-    o.done = true;
-  }
-  st.outs.clear();
 }
 
 std::vector<WireReader> finishShmExchange(ShmArena& arena,

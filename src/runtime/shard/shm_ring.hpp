@@ -1,26 +1,26 @@
 // Shared-memory ring transport for the resident worker mesh.
 //
 // With the shm exchange selected (Transport::kShmRing — the default on a
-// same-host engine, see MPCSPAN_SHM_EXCHANGE), every ordered worker pair
+// same-host engine), every ordered worker pair
 // (a → b) shares one fixed-size SPSC byte ring inside a single
 // mmap(MAP_SHARED) arena that the coordinator creates *before the first
 // fork* and shm_unlink()s the moment it is mapped — a crashed run can
 // never leave an orphan under /dev/shm. Senders serialize each cross-shard
 // section exactly once, straight into the ring (same frame bytes as the
-// socket mesh: `u64 bodyLen | u64 rowCount | rows`); receivers parse a
+// tcp mesh: `u64 bodyLen | u64 rowCount | rows`); receivers parse a
 // frame that fits the ring *in place* through a non-owning WireReader view
 // and only release the ring span after the merge has consumed it
 // (ShmArena::releaseInbound), so a cross-shard payload is copied exactly
 // once on the whole path — ring bytes into the receiver's delivery arena.
 //
-// The PR-5 socketpair mesh stays underneath as the wakeup channel: a
+// A pre-fork socketpair mesh stays underneath as the wakeup channel: a
 // worker that advances its ring (produced or consumed) rings a one-byte
 // doorbell so a blocked peer re-pumps. Doorbell sends are nonblocking and
 // EAGAIN is safely ignored — a full doorbell buffer means the peer already
 // has wakeups queued. Peer death keeps the mesh semantics: the doorbell
 // socket reports EOF, the survivor drains the ring one last time, and an
 // incomplete frame becomes the same "peer shard worker died mid-exchange"
-// ShardError the socket mesh raises.
+// ShardError the tcp mesh raises.
 //
 // Frame placement rules (both ends compute from the same free-running
 // stream position, so no flags cross the wire):
@@ -86,16 +86,15 @@ class ShmArena {
   std::uint8_t* data(std::size_t from, std::size_t to) const;
 
   /// Records that the (from → to) ring's consumed cursor must advance to
-  /// `newConsumed` once the in-place frame view has been merged. Pending
-  /// entries are process-local: each worker only defers its own inbound
-  /// rings.
+  /// `newConsumed` once the in-place frame view has been merged. The
+  /// record is process-local, one slot per ring, so receivers never share
+  /// a slot (not even workers simulated as threads of one process).
   void deferRelease(std::size_t from, std::size_t to,
                     std::uint64_t newConsumed);
-  /// Applies every deferred release. Must run after the merge consumed the
-  /// frame views and before the worker reports phase B — the commit
-  /// barrier then guarantees no peer writes the next round's frame into a
-  /// span that is still being read.
-  void releaseInbound();
+  /// Applies the deferred releases of every ring into `to`. Must run only
+  /// after the merge consumed the frame views: a released span is free for
+  /// the peer's next frame.
+  void releaseInbound(std::size_t to);
 
  private:
   std::size_t slotBytes() const { return sizeof(RingHdr) + ringBytes_; }
@@ -105,11 +104,9 @@ class ShmArena {
   std::size_t workers_ = 0;
   std::size_t ringBytes_ = 0;
 
-  struct Pending {
-    std::size_t from, to;
-    std::uint64_t newConsumed;
-  };
-  std::vector<Pending> pending_;
+  /// Deferred consumed cursor per (from, to) ring; 0 = nothing deferred
+  /// (a release always advances past a whole frame, so it is never 0).
+  std::vector<std::uint64_t> deferred_;
 };
 
 /// One outgoing frame's progress through its ring. `stage` 0 is still
@@ -124,7 +121,6 @@ struct ShmSendFrame {
   std::uint64_t rowsLen = 0;
   std::uint64_t bodyLen = 0;
   std::uint64_t bodyOff = 0;
-  std::uint64_t savedProduced = 0;  // rewind point for an aborted round
   int stage = 0;
   bool contiguous = false;
   bool done = true;
@@ -148,18 +144,12 @@ ShmSendState beginShmSend(ShmArena& arena, std::size_t self,
                           const std::vector<WireWriter>& sections,
                           std::vector<WireFd>& doorbells);
 
-/// Aborted round (no go byte): rewinds every outbound ring's produced
-/// cursor to its pre-frame position. Safe because a receiver only reads
-/// after go — no peer byte was ever consumed, exactly the socket mesh's
-/// abort guarantee.
-void abortShmSend(ShmSendState& st);
-
-/// Completes the exchange after the go byte: finishes any oversized sends
+/// Completes the exchange: finishes any oversized sends
 /// and receives one frame from every peer's (t → self) ring, multiplexed
 /// on the doorbell sockets (`doorbells` is the worker's mesh row). Returns
 /// the frame bodies indexed by peer shard (empty reader at `self`), each
 /// positioned at its leading row count — in-place ring views for bodies
-/// that fit the ring (release them with arena.releaseInbound() after
+/// that fit the ring (release them with arena.releaseInbound(self) after
 /// merging), owned heap frames for larger bodies. Same body bytes, same
 /// ShardError surface as meshExchange.
 std::vector<WireReader> finishShmExchange(ShmArena& arena,

@@ -16,6 +16,7 @@
 #include <ctime>
 
 #include "runtime/shard/peer_mesh.hpp"
+#include "util/deadline.hpp"
 
 namespace mpcspan::runtime::shard {
 

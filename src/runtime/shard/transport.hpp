@@ -22,22 +22,8 @@
 #include <cstdint>
 
 #include "runtime/shard/wire.hpp"
-#include "util/deadline.hpp"
 
 namespace mpcspan::runtime::shard {
-
-/// One shared wall-clock budget for every communication wait of a round.
-///
-/// The Channel deadline below is *per blocking wait*: progress resets the
-/// clock. That is the right contract for a single stream (a peer making
-/// progress is alive), but wrong for a round barrier composed of many
-/// waits — a peer trickling one byte per poll interval would reset the
-/// clock forever and extend the round unbounded past MPCSPAN_TCP_TIMEOUT_MS.
-/// The budget fixes the expiry instant once; trickling spends it instead of
-/// refreshing it. The class itself now lives in util/deadline.hpp (the
-/// serving daemon paces per-request deadlines with the same type); this
-/// alias keeps the shard layer's historical spelling working.
-using DeadlineBudget = ::mpcspan::util::DeadlineBudget;
 
 class Channel {
  public:

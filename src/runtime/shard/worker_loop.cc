@@ -11,6 +11,7 @@
 #include "runtime/shard/protocol.hpp"
 #include "runtime/shard/shm_ring.hpp"
 #include "runtime/thread_pool.hpp"
+#include "util/deadline.hpp"
 
 namespace mpcspan::runtime::shard {
 
@@ -36,8 +37,7 @@ std::size_t shardOfMachine(std::size_t numMachines, std::size_t shards,
 void runResidentWorker(const WorkerConfig& cfg, Channel& ctrl,
                        std::vector<WireFd>& peers,
                        std::vector<KernelRegistration> kernels,
-                       BlockStore& store,
-                       std::vector<std::vector<Delivery>> inboxes) {
+                       BlockStore& store) {
   const std::size_t n = cfg.numMachines;
   const std::size_t s = cfg.shard;
   const std::size_t lo = shardRangeBegin(n, cfg.shards, s);
@@ -45,25 +45,24 @@ void runResidentWorker(const WorkerConfig& cfg, Channel& ctrl,
   const std::size_t local = hi - lo;
   const bool priorityWrite =
       cfg.topology->mode() == Topology::Mode::kPriorityWrite;
-  const bool peerMode = cfg.transport != Transport::kRelay && !peers.empty();
-  const bool shmMode = peerMode && cfg.transport == Transport::kShmRing &&
-                       cfg.shmArena != nullptr;
+  ShmArena* const shm = cfg.shmArena;
   // The intra-round deadline. The idle top-of-loop command read is
   // unbounded (an idle engine may legitimately not speak for minutes) but
   // every read *inside* a round keeps the channel's deadline, so a
   // coordinator or peer that hangs mid-round surfaces as ShardError.
   const int roundDeadline = ctrl.deadline();
-  // Test-only fault injection: the named shard exits abnormally right after
-  // the phase-A go, i.e. mid peer exchange from every peer's point of view.
+  // Test-only fault injection: the named shard exits abnormally right
+  // before its STEP report, i.e. mid peer exchange from every peer's point
+  // of view.
   // Exercised by test_peer_exchange / test_tcp_transport; never set outside
   // tests.
   long dieShard = -1;
   if (const char* env = std::getenv("MPCSPAN_TEST_PEER_DIE_SHARD"))
     dieShard = std::strtol(env, nullptr, 10);
 
-  // Worker-owned state, alive across rounds. The kernel table, block store,
-  // and closure-step inboxes arrived with the fork snapshot (or the SETUP
-  // frame); everything later comes over the wire.
+  // Worker-owned state, alive across rounds. The kernel table and block
+  // store arrived with the fork snapshot (or the SETUP frame); everything
+  // later comes over the wire.
   ThreadPool pool(cfg.threads);
   std::vector<std::unique_ptr<StepKernel>> instances(kernels.size());
 
@@ -82,16 +81,16 @@ void runResidentWorker(const WorkerConfig& cfg, Channel& ctrl,
   // round's deliveries are installed into the *back* buffer and only a
   // commit flips them live. That separation is what makes pipelined rounds
   // safe — a speculative pre-verdict install touches nothing a reader (or
-  // an abort) can see, so discarding r+1 state after an abort at r is just
-  // "don't flip".
+  // an abort) can see, so discarding speculative state after an abort is
+  // just "don't flip".
   std::vector<std::vector<Delivery>> inboxBuf[2];
-  inboxBuf[0] = std::move(inboxes);
+  inboxBuf[0].resize(local);
   inboxBuf[1].resize(local);
   std::size_t curInbox = 0;
 
   // This worker's STEP epoch, advanced once per kOpStep attempt (aborts
   // included) in lockstep with the coordinator's counter; every frame of
-  // the fused conversation is vetted against it.
+  // the barrier conversation is vetted against it.
   std::uint64_t stepEpoch = 0;
 
   auto ensureInstance = [&](std::uint64_t id) -> StepKernel& {
@@ -137,7 +136,7 @@ void runResidentWorker(const WorkerConfig& cfg, Channel& ctrl,
 
   try {
     for (;;) {
-      if (shmMode) spinAwaitReadable(ctrl.fd());
+      if (shm) spinAwaitReadable(ctrl.fd());
       ctrl.setDeadline(-1);  // idle wait: unbounded by design
       WireReader cmd = WireReader::recvFramed(ctrl);  // EOF -> ShardError
       ctrl.setDeadline(roundDeadline);
@@ -176,40 +175,32 @@ void runResidentWorker(const WorkerConfig& cfg, Channel& ctrl,
                 "ShardedEngine: step epoch mismatch in worker (desynced "
                 "stream)");
           ++stepEpoch;
-          // The round's barrier mode, decided coordinator-side: 1 = this
-          // round may overlap (pipelined engine + an overlap-eligible
-          // topology) and runs the fused conversation with a speculative
-          // pre-verdict exchange; 0 = the strict reference conversation.
-          const bool overlap = cmd.u8() != 0 && peerMode;
           const std::uint64_t kid = cmd.u64();
           // Data-placement shuffles reuse the whole STEP barrier; the flag
           // only disables validation and the priority-write drop (free
           // movement is deliver-all and never charged).
           const bool freePlacement = cmd.u8() != 0;
           const std::vector<Word> args = readArgs(cmd);
-          // Fused single-report/single-verdict rounds: the shm ring always
-          // (its native barrier), any mesh transport when overlapping.
-          const bool fusedRound = shmMode || overlap;
 
           // Phase A: run the kernel over this shard's machines, keep the
           // messages, and bucket every cross-shard one straight into its
           // destination shard's section in one pass over the outboxes
           // (rows land in (src asc, send-position asc) order because the
           // scan walks machines ascending). This is the local validation
-          // gate: a kernel throw or a rogue destination is reported before
-          // any section leaves the worker.
+          // gate: a kernel throw, a rogue destination, or a source-side
+          // topology violation is reported before any section leaves the
+          // worker.
           std::uint8_t kind = kOk;
           std::string err;
           std::uint64_t words = 0;
           std::vector<std::vector<Message>> own(local);
           std::vector<WireWriter> sections(cfg.shards);
           std::vector<std::uint64_t> counts(cfg.shards, 0);
-          // Fused barrier: the report also carries this worker's
-          // contribution to every machine's inbound words, so the
-          // coordinator can run the receiver-side validation without a
-          // second barrier.
+          // The report also carries this worker's contribution to every
+          // machine's inbound words, so the coordinator can run the
+          // receive-side validation without a second barrier.
           const bool wantSums =
-              fusedRound && !freePlacement && cfg.topology->needsInboundSums();
+              !freePlacement && cfg.topology->needsInboundSums();
           std::vector<std::uint64_t> recvWords(wantSums ? n : 0, 0);
           try {
             StepKernel& ker = ensureInstance(kid);
@@ -229,39 +220,58 @@ void runResidentWorker(const WorkerConfig& cfg, Channel& ctrl,
                                 msg.payload.size());
                 ++counts[t];
               }
-            // Fused rounds validate sources here, pre-exchange: `own` is
-            // the complete outbox set for [lo, hi), which is all the
-            // source-side half needs. The receive-side half runs at the
-            // coordinator over the summed report columns. (Only reachable
-            // for topologies whose canOverlap() promises the split covers
-            // validateSlice — see start()'s shm fallback and the per-round
-            // overlap gate.)
-            if (fusedRound && !freePlacement)
+            if (!freePlacement)
               words = cfg.topology->validateSources(n, own, lo);
           } catch (...) {
             kind = classify(err);
             sections.assign(cfg.shards, WireWriter());
             counts.assign(cfg.shards, 0);
           }
-          // Drains every shm peer frame and, when this worker's phase A
-          // succeeded, merges them into the projected view and stages the
-          // deliveries in the back buffers. Shared by the strict order
-          // (drain after the verdict) and the pipelined order (drain
-          // speculatively before it). A ShardError (peer death, garbled
-          // ring) exits the worker so the coordinator sees EOF and fails
-          // with it; the rings are always left empty for the next round's
-          // pre-write.
-          auto drainAndStageShm = [&](ShmSendState& shmSend, bool stage,
-                                      std::vector<std::vector<Message>>& ownRef) {
-            std::vector<WireReader> frames =
-                finishShmExchange(*cfg.shmArena, peers, s, shmSend);
-            if (!stage) {
-              cfg.shmArena->releaseInbound();
-              return;
+
+          // Test-only fault: die before the report, as every peer is
+          // entering its speculative exchange — the peers see the death
+          // mid-exchange and the coordinator sees it on the report read, so
+          // the round (not a later one) fails for everyone.
+          if (dieShard == static_cast<long>(s)) std::_Exit(4);
+          // shm: pre-write the sections into the rings before the report,
+          // so every frame exists before the verdict does. Every peer
+          // writes unconditionally (error rounds ship empty sections), so
+          // the speculative drain below cannot deadlock.
+          ShmSendState shmSend;
+          if (shm) shmSend = beginShmSend(*shm, s, counts, sections, peers);
+          {
+            WireWriter r;
+            r.u8(kind);
+            r.u64(epoch);
+            if (kind == kOk) {
+              r.u64(words);
+              for (const std::uint64_t w : recvWords) r.u64(w);
+            } else {
+              r.str(err);
             }
+            r.sendFramed(ctrl);
+          }
+          // One communication budget for every wait left in the round,
+          // created *after* the compute so a slow kernel cannot spend it;
+          // a trickling peer drains it instead of resetting it.
+          util::DeadlineBudget budget(cfg.meshTimeoutMs);
+          // Speculative exchange, before the verdict: the sections travel
+          // while the coordinator is still totting up reports, and a fast
+          // worker that staged its deliveries parks at the verdict read,
+          // ready to flip and start the next round. It is NOT conditional
+          // on kind — a worker whose phase A failed still pumps its empty
+          // sections so its peers' drains complete. A ShardError (peer
+          // death, garbled frame) exits the worker, so the coordinator
+          // sees EOF and fails the round for everyone.
+          std::vector<WireReader> frames =
+              shm ? finishShmExchange(*shm, peers, s, shmSend)
+                  : meshExchange(peers, s, counts, sections, &budget);
+          if (kind == kOk) {
+            // Own sources complete, inbound rows merged in ascending
+            // source-shard order — the projected round view.
             std::vector<std::vector<Message>> projected(n);
             for (std::size_t i = 0; i < local; ++i)
-              projected[lo + i] = std::move(ownRef[i]);
+              projected[lo + i] = std::move(own[i]);
             Arena& mergeArena = deliveryArena[1 - curArena];
             mergeArena.reset();
             try {
@@ -276,275 +286,53 @@ void runResidentWorker(const WorkerConfig& cfg, Channel& ctrl,
             } catch (const ShardError&) {
               throw;
             } catch (const std::exception& e) {
-              // Validation is already settled source-side; a garbled frame
-              // here can only be transport corruption, so fail the backend.
-              throw ShardError(std::string("shm section merge: ") + e.what());
+              // Validation is settled source-side; a garbled peer frame can
+              // only be transport corruption — fail the backend.
+              throw ShardError(std::string("section merge: ") + e.what());
             }
-            // The merge copied every inbound row out of the rings (ring
-            // bytes -> arena runs, the one copy on the whole path).
-            cfg.shmArena->releaseInbound();
             installDeliveries(
                 indexByDst(projected, lo, hi, priorityWrite && !freePlacement),
                 projected);
-          };
-
-          if (shmMode) {
-            // Fused single barrier (the shm ring's native conversation).
-            // Sections are pre-written into the rings and validation is
-            // already split around the report (sources here, inbound sums
-            // at the coordinator), so ONE report and ONE verdict frame
-            // cover the whole round: every pre-write precedes its report,
-            // so all frames exist before the verdict does. An abort drains
-            // and discards, never touching resident state — the two-phase
-            // guarantee at half the barrier waves. Pipelined rounds
-            // (overlap) drain/merge/stage *before* the verdict — every
-            // peer beginShmSend's unconditionally (error rounds ship empty
-            // sections), so the speculative drain cannot deadlock, and it
-            // only touches back buffers, so an abort discards it by simply
-            // not flipping.
-            if (dieShard == static_cast<long>(s)) std::_Exit(4);
-            ShmSendState shmSend =
-                beginShmSend(*cfg.shmArena, s, counts, sections, peers);
-            {
-              WireWriter r;
-              r.u8(kind);
-              r.u64(epoch);
-              if (kind == kOk) {
-                r.u64(words);
-                for (const std::uint64_t w : recvWords) r.u64(w);
-              } else {
-                r.str(err);
-              }
-              r.sendFramed(ctrl);
-            }
-            if (overlap) drainAndStageShm(shmSend, kind == kOk, own);
-            spinAwaitReadable(ctrl.fd());
-            WireReader v = WireReader::recvFramed(ctrl);
-            // Read the verdict byte unconditionally — error rounds must
-            // still consume it, or the epoch parse shifts by one byte.
-            const std::uint8_t verdict = v.u8();
-            const bool commit = kind == kOk && verdict == kGo;
-            if (v.u64() != epoch)
-              throw ShardError(
-                  "step barrier: verdict epoch mismatch (desynced stream)");
-            // Strict order: drain only after the verdict, stage on commit.
-            if (!overlap) drainAndStageShm(shmSend, commit, own);
-            if (commit) {
-              curArena = 1 - curArena;
-              curInbox = 1 - curInbox;
-            } else {
-              inboxBuf[1 - curInbox].assign(local, std::vector<Delivery>());
-            }
-            break;
           }
+          // The merge copied every inbound row out of the rings (ring bytes
+          // -> arena runs, the one copy on the whole path).
+          if (shm) shm->releaseInbound(s);
 
-          if (overlap) {
-            // Pipelined socket/tcp mesh round: the fused conversation of
-            // the shm barrier, generalized. One report up (source verdict
-            // + inbound sums), then the worker speculatively exchanges and
-            // merges *before* the verdict — the sections travel the mesh
-            // while the coordinator is still totting up reports, and a
-            // fast worker that staged its deliveries parks at the verdict
-            // read, ready to flip and start round r+1's compute the moment
-            // the commit frame lands, while slow peers are still merging
-            // round r.
-            // Test-only fault: die before the report, as every peer is
-            // entering its speculative exchange — the peers see the death
-            // mid-mesh and the coordinator sees it on the report read, so
-            // the round (not a later one) fails for everyone.
-            if (dieShard == static_cast<long>(s)) std::_Exit(4);
-            {
-              WireWriter r;
-              r.u8(kind);
-              r.u64(epoch);
-              if (kind == kOk) {
-                r.u64(words);
-                for (const std::uint64_t w : recvWords) r.u64(w);
-              } else {
-                r.str(err);
-              }
-              r.sendFramed(ctrl);
-            }
-            // One communication budget for every wait left in the round,
-            // created *after* the compute so a slow kernel cannot spend
-            // it; a trickling peer drains it instead of resetting it.
-            DeadlineBudget budget(cfg.meshTimeoutMs);
-            // The exchange itself is NOT conditional on kind: a worker
-            // whose phase A failed still pumps the mesh (with its cleared,
-            // empty sections) so its peers' speculative drains complete —
-            // they are blocked in meshExchange before they ever read their
-            // abort verdict.
-            std::vector<std::vector<Message>> projected(n);
-            for (std::size_t i = 0; i < local; ++i)
-              projected[lo + i] = std::move(own[i]);
-            Arena& mergeArena = deliveryArena[1 - curArena];
-            mergeArena.reset();
-            std::vector<WireReader> frames =
-                meshExchange(peers, s, counts, sections, &budget);
-            if (kind == kOk) {
-              try {
-                for (std::size_t t = 0; t < cfg.shards; ++t) {
-                  if (t == s) continue;
-                  const std::uint64_t count = frames[t].u64();
-                  mergeSectionRows(frames[t], count,
-                                   shardRangeBegin(n, cfg.shards, t),
-                                   shardRangeEnd(n, cfg.shards, t), lo, hi,
-                                   projected, &mergeArena);
-                }
-              } catch (const ShardError&) {
-                throw;
-              } catch (const std::exception& e) {
-                // Validation is settled source-side; a garbled peer frame
-                // can only be transport corruption — fail the backend.
-                throw ShardError(std::string("pipelined section merge: ") +
-                                 e.what());
-              }
-              installDeliveries(
-                  indexByDst(projected, lo, hi,
-                             priorityWrite && !freePlacement),
-                  projected);
-            }
-            spinAwaitReadable(ctrl.fd(), &budget);
-            WireReader v = WireReader::recvFramed(ctrl);
-            const std::uint8_t verdict = v.u8();
-            const bool commit = kind == kOk && verdict == kGo;
-            if (v.u64() != epoch)
-              throw ShardError(
-                  "step barrier: verdict epoch mismatch (desynced stream)");
-            if (commit) {
-              curArena = 1 - curArena;
-              curInbox = 1 - curInbox;
-            } else {
-              // Abort at round r discards all speculative state: the back
-              // buffers are cleared, the front buffers were never touched.
-              inboxBuf[1 - curInbox].assign(local, std::vector<Delivery>());
-            }
-            break;
-          }
-
-          if (peerMode) {
-            // Peer exchange: the report is the whole phase-A upload — the
-            // sections wait for the go byte and then travel the mesh.
-            writeReport(ctrl, kind, err);
+          spinAwaitReadable(ctrl.fd(), &budget);
+          WireReader v = WireReader::recvFramed(ctrl);
+          // Read the verdict byte unconditionally — error rounds must still
+          // consume it, or the epoch parse shifts by one byte.
+          const std::uint8_t verdict = v.u8();
+          const bool commit = kind == kOk && verdict == kGo;
+          if (v.u64() != epoch)
+            throw ShardError(
+                "step barrier: verdict epoch mismatch (desynced stream)");
+          if (commit) {
+            // The arena flip keeps this round's borrowed payloads alive
+            // until the round after next resets their buffer.
+            curArena = 1 - curArena;
+            curInbox = 1 - curInbox;
           } else {
-            // Coordinator relay: sections ride the report, per peer shard t
-            // (ascending, skipping self): row count, raw byte length, rows.
-            // The byte length lets the coordinator re-scatter without
-            // walking rows.
-            WireWriter a;
-            a.u8(kind);
-            if (kind != kOk) {
-              a.str(err);
-            } else {
-              for (std::size_t t = 0; t < cfg.shards; ++t) {
-                if (t == s) continue;
-                a.u64(counts[t]);
-                a.u64(sections[t].size());
-                a.append(sections[t]);
-              }
-            }
-            a.sendFramed(ctrl);
+            // An abort discards all speculative state: the back buffers
+            // are cleared, the front buffers were never touched.
+            inboxBuf[1 - curInbox].assign(local, std::vector<Delivery>());
           }
-
-          // Barrier: wait for the coordinator's verdict even after a local
-          // error (lockstep). Abort means no peer byte ever moved.
-          WireReader b = WireReader::recvFramed(ctrl);
-          if (kind != kOk || b.u8() != kGo) break;  // round aborted
-
-          if (peerMode && dieShard == static_cast<long>(s)) std::_Exit(4);
-
-          // Phase B: assemble the projected round view — own sources
-          // complete, inbound rows for everyone else, merged in ascending
-          // source-shard order — validate this machine range, report, and
-          // await the commit verdict.
-          std::vector<std::vector<Message>> projected(n);
-          for (std::size_t i = 0; i < local; ++i)
-            projected[lo + i] = std::move(own[i]);
-          Arena& mergeArena = deliveryArena[1 - curArena];
-          mergeArena.reset();
-          // Strict rounds spend one communication budget too: the mesh
-          // waits share a single deadline seeded after phase A, so a
-          // trickling peer exhausts it instead of resetting it per wait.
-          DeadlineBudget budget(cfg.meshTimeoutMs);
-          try {
-            if (peerMode) {
-              std::vector<WireReader> frames =
-                  meshExchange(peers, s, counts, sections, &budget);
-              for (std::size_t t = 0; t < cfg.shards; ++t) {
-                if (t == s) continue;
-                const std::uint64_t count = frames[t].u64();
-                mergeSectionRows(frames[t], count,
-                                 shardRangeBegin(n, cfg.shards, t),
-                                 shardRangeEnd(n, cfg.shards, t), lo, hi,
-                                 projected, &mergeArena);
-              }
-            } else {
-              for (std::size_t t = 0; t < cfg.shards; ++t) {
-                if (t == s) continue;
-                const std::uint64_t count = b.u64();
-                (void)b.u64();  // byte length (coordinator-side convenience)
-                mergeSectionRows(b, count, shardRangeBegin(n, cfg.shards, t),
-                                 shardRangeEnd(n, cfg.shards, t), lo, hi,
-                                 projected, &mergeArena);
-              }
-            }
-            if (!freePlacement)
-              words = cfg.topology->validateSlice(n, projected, lo, hi);
-          } catch (const ShardError&) {
-            throw;  // wire/mesh corruption or peer death: exit, the
-                    // coordinator sees EOF and fails the round for all
-          } catch (...) {
-            kind = classify(err);
-          }
-          writeReport(ctrl, kind, err, words);
-
-          WireReader c = WireReader::recvFramed(ctrl);
-          if (kind != kOk || c.u8() != kGo) break;  // round aborted;
-                                                    // received peer bytes
-                                                    // are discarded unread
-
-          // Commit: install the deliveries into the resident inboxes. The
-          // arena flip keeps this round's borrowed payloads alive until
-          // the round after next resets their buffer.
-          installDeliveries(
-              indexByDst(projected, lo, hi, priorityWrite && !freePlacement),
-              projected);
-          curArena = 1 - curArena;
-          curInbox = 1 - curInbox;
           break;
         }
 
         case kOpExchange: {
-          const bool updateResident = cmd.u8() != 0;
-          // The whole projected view arrives in one frame: own sources'
-          // outboxes (destinations already bounds-checked by the
-          // coordinator) plus inbound cross-shard rows.
+          // The coordinator validated the whole round before sending; the
+          // frame holds every row addressed to this shard's machines, in
+          // (src asc, send-position asc) order. A garbled frame throws
+          // ShardError, which exits the worker.
           std::vector<std::vector<Message>> projected(n);
-          std::uint8_t kind = kOk;
-          std::string err;
-          std::uint64_t words = 0;
           Arena& mergeArena = deliveryArena[1 - curArena];
           mergeArena.reset();
-          try {
-            parseRows<Message>(cmd, lo, hi, projected);
-            // Inbound cross-shard rows: the section header's per-source
-            // counts pre-reserve the projected rows, so a source fanning
-            // many messages into this range never reallocates per delivery.
-            const std::uint64_t count = cmd.u64();
-            mergeSectionRows(cmd, count, 0, n, lo, hi, projected, &mergeArena);
-            words = cfg.topology->validateSlice(n, projected, lo, hi);
-          } catch (const ShardError&) {
-            throw;
-          } catch (...) {
-            kind = classify(err);
-          }
-          writeReport(ctrl, kind, err, words);
-
-          WireReader b = WireReader::recvFramed(ctrl);
-          if (kind != kOk || b.u8() != kGo) break;  // round aborted
-
-          // Commit: materialize this destination range, ship it back, and
-          // (for step-driven rounds) keep it resident too.
+          const std::uint64_t count = cmd.u64();
+          mergeSectionRows(cmd, count, 0, n, lo, hi, projected, &mergeArena);
+          // Materialize this destination range and ship it back; the
+          // resident inboxes are left alone (RoundEngine::exchange never
+          // touches them).
           const std::vector<std::vector<Ref>> byDst =
               indexByDst(projected, lo, hi, priorityWrite);
           std::vector<WireWriter> fragments(local);
@@ -559,11 +347,6 @@ void runResidentWorker(const WorkerConfig& cfg, Channel& ctrl,
           WireWriter body;
           for (const WireWriter& f : fragments) body.append(f);
           body.sendFramed(ctrl);
-          if (updateResident) {
-            installDeliveries(byDst, projected);
-            curArena = 1 - curArena;
-            curInbox = 1 - curInbox;
-          }
           break;
         }
 
@@ -701,9 +484,7 @@ void sendWorkerSetup(Channel& ch, std::size_t numMachines, std::size_t shards,
                      std::size_t shard, std::size_t threads,
                      const Topology& topology,
                      const std::vector<KernelRegistration>* kernels,
-                     const BlockStore* blocks,
-                     const std::vector<std::vector<Delivery>>* inboxes,
-                     bool pipelined) {
+                     const BlockStore* blocks) {
   if (topology.wireKind() == Topology::WireKind::kOpaque)
     throw ShardError(
         "tcp remote workers need a wire-serializable topology (a custom "
@@ -716,7 +497,6 @@ void sendWorkerSetup(Channel& ch, std::size_t numMachines, std::size_t shards,
   w.u64(shards);
   w.u64(shard);
   w.u64(threads);
-  w.u8(pipelined ? 1 : 0);
   w.u8(static_cast<std::uint8_t>(topology.wireKind()));
   w.u64(topology.wireParam());
   const std::size_t kernelCount = kernels ? kernels->size() : 0;
@@ -731,20 +511,6 @@ void sendWorkerSetup(Channel& ch, std::size_t numMachines, std::size_t shards,
       const WordBuf& block = blocks->block(h, m);
       w.u64(block.size());
       w.words(block.data(), block.size());
-    }
-  }
-  const bool haveInboxes = inboxes && inboxes->size() == numMachines;
-  for (std::size_t m = lo; m < hi; ++m) {
-    if (!haveInboxes) {
-      w.u64(0);
-      continue;
-    }
-    const std::vector<Delivery>& inbox = (*inboxes)[m];
-    w.u64(inbox.size());
-    for (const Delivery& d : inbox) {
-      w.u64(d.src);
-      w.u64(d.payload.size());
-      w.words(d.payload.data(), d.payload.size());
     }
   }
   w.sendFramed(ch);
@@ -763,7 +529,6 @@ RemoteSetup readWorkerSetup(Channel& ch) {
       setup.cfg.shards > setup.cfg.numMachines ||
       setup.cfg.shard >= setup.cfg.shards || setup.cfg.threads == 0)
     throw ShardError("tcp setup: implausible engine dimensions");
-  setup.cfg.pipelined = r.u8() != 0;
   const std::uint8_t topoKind = r.u8();
   const std::uint64_t topoParam = r.u64();
   try {
@@ -772,7 +537,6 @@ RemoteSetup readWorkerSetup(Channel& ch) {
     throw ShardError(std::string("tcp setup: ") + e.what());
   }
   setup.cfg.topology = setup.topology.get();
-  setup.cfg.transport = Transport::kTcp;
   const std::uint64_t kernelCount = r.u64();
   // A serialized kernel entry is at least its 8-byte name-length prefix.
   if (kernelCount > r.remaining() / sizeof(std::uint64_t))
@@ -798,24 +562,6 @@ RemoteSetup readWorkerSetup(Channel& ch) {
       WordBuf& block = setup.store->block(h, m);
       block.resize(len);
       r.words(block.data(), len);
-    }
-  }
-  setup.inboxes.resize(hi - lo);
-  for (std::size_t i = 0; i < hi - lo; ++i) {
-    const std::uint64_t count = r.u64();
-    if (count > r.remaining() / (2 * sizeof(std::uint64_t)))
-      throw ShardError("tcp setup: corrupt inbox count");
-    setup.inboxes[i].reserve(count);
-    std::vector<Word> scratch;
-    for (std::uint64_t d = 0; d < count; ++d) {
-      const std::uint64_t src = r.u64();
-      const std::uint64_t len = r.u64();
-      if (len > r.remaining() / sizeof(Word))
-        throw ShardError("tcp setup: corrupt delivery length");
-      scratch.resize(len);
-      r.words(scratch.data(), len);
-      setup.inboxes[i].push_back(
-          {static_cast<std::size_t>(src), Payload(scratch.data(), len)});
     }
   }
   return setup;

@@ -27,6 +27,12 @@ void ThreadPool::ensureWorkers() {
   workers_.reserve(lanes_.size() - 1);
   for (std::size_t i = 1; i < lanes_.size(); ++i)
     workers_.emplace_back([this, i] { workerLoop(i); });
+  // Return only once every worker runs its loop. A thread still starting
+  // up may hold runtime-internal locks (a sanitizer allocator's, say); the
+  // sharded engine forks its workers from this process, and a child that
+  // inherits such a lock held deadlocks on its first allocation.
+  std::unique_lock<std::mutex> lock(jobMutex_);
+  doneCv_.wait(lock, [this] { return started_ == workers_.size(); });
 }
 
 ThreadPool::~ThreadPool() {
@@ -47,10 +53,10 @@ void ThreadPool::parallelFor(std::size_t n,
     return;
   }
 
+  ensureWorkers();
   std::uint64_t gen;
   {
     std::lock_guard<std::mutex> lock(jobMutex_);
-    ensureWorkers();
     {
       std::lock_guard<std::mutex> errLock(errorMutex_);
       error_ = nullptr;
@@ -109,6 +115,11 @@ void ThreadPool::parallelForChunks(
 }
 
 void ThreadPool::workerLoop(std::size_t lane) {
+  {
+    std::lock_guard<std::mutex> lock(jobMutex_);
+    ++started_;
+  }
+  doneCv_.notify_all();
   std::uint64_t seen = 0;
   for (;;) {
     {

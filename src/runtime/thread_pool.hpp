@@ -77,6 +77,7 @@ class ThreadPool {
   const std::function<void(std::size_t)>* job_ = nullptr;
   std::uint64_t generation_ = 0;
   std::atomic<std::size_t> remaining_{0};
+  std::size_t started_ = 0;  // workers that reached workerLoop
   bool shutdown_ = false;
 
   std::mutex errorMutex_;

@@ -17,6 +17,14 @@
 // ordering, and accounting are the engine's job and identical across
 // models. Violations throw CapacityError — an algorithm that breaks its
 // model must fail loudly.
+//
+// Every topology validates a round in two halves: validateSources (the
+// constraints attributable to senders, checked over complete outboxes) and
+// validateInbound (receive budgets, checked over per-destination word
+// sums). The in-process engine and the sharded engine run the same two
+// halves — sharded workers check their own sources before shipping, the
+// coordinator checks the summed receive column — so a custom topology is
+// enforced identically on every backend.
 #pragma once
 
 #include <cstddef>
@@ -56,76 +64,44 @@ class Topology {
   /// for MpcTopology; unused otherwise).
   virtual std::uint64_t wireParam() const { return 0; }
 
-  /// Validates one round's outboxes (outboxes[src] = messages machine src
-  /// sends; destination ids already bounds-checked by the engine). Throws
-  /// CapacityError on a model violation. Returns the words moved.
+  /// Validates one whole round — the single validation contract, used
+  /// in-process and by the sharded engine alike: the source half over every
+  /// outbox, then (when needsInboundSums()) the receive half over
+  /// `received` (received[m] = words addressed to machine m; the caller
+  /// gathers it in the index pass it already makes, and may pass an empty
+  /// vector when needsInboundSums() is false). Destinations are already
+  /// bounds-checked. Throws CapacityError on a model violation; returns the
+  /// words moved.
   std::size_t validate(std::size_t numMachines,
-                       const std::vector<std::vector<Message>>& outboxes) const {
-    return validateSlice(numMachines, outboxes, 0, numMachines);
+                       const std::vector<std::vector<Message>>& outboxes,
+                       const std::vector<std::uint64_t>& received) const {
+    const std::size_t words = validateSources(numMachines, outboxes, 0);
+    if (needsInboundSums()) validateInbound(numMachines, received);
+    return words;
   }
 
-  /// Shardable validation: checks every constraint *attributable to machines
-  /// in [begin, end)* — their sends and their receives — against the full
-  /// round's outboxes, and returns the words sent by sources in the range.
-  /// Callers guarantee bounds-checked destinations only for sources in
-  /// [begin, end); an implementation that scans sources outside the range
-  /// (MpcTopology does, for receive budgets) must check msg.dst itself and
-  /// throw std::invalid_argument, never index out of bounds.
-  /// The union over a partition of [0, numMachines) validates the whole
-  /// round, and the per-slice word counts sum to validate()'s return; this
-  /// is what lets every ShardedEngine worker validate its own range — the
-  /// fork-per-round workers against the snapshot outboxes, the resident
-  /// workers against their projected round view (own sources complete,
-  /// inbound cross-shard rows for the rest: receives of [begin, end) are
-  /// complete by construction, and sends outside the slice, though
-  /// partial, are never checked here).
-  virtual std::size_t validateSlice(
-      std::size_t numMachines,
-      const std::vector<std::vector<Message>>& outboxes, std::size_t begin,
-      std::size_t end) const = 0;
-
-  /// Source-side half of validateSlice, over just the slice's own
-  /// complete outboxes (sliceOutboxes[i] = every message machine
-  /// begin + i sends; destinations already bounds-checked). Checks each
-  /// constraint attributable to those sources and returns the words they
-  /// send. Receiver-side constraints are covered by validateInbound()
-  /// over the cross-shard per-destination sums — together the two halves
-  /// check exactly what validateSlice checks. The split is what lets the
-  /// shm transport's fused barrier validate a round *before* any frame
-  /// is exchanged: sources are complete at phase A, and the inbound sums
-  /// ride the barrier report for the coordinator to total up.
+  /// Source half, over the complete outboxes of a contiguous machine range
+  /// (sliceOutboxes[i] = every message machine begin + i sends;
+  /// destinations already bounds-checked). Checks each constraint
+  /// attributable to those sources and returns the words they send. A
+  /// shard worker runs it over its own machines before any section leaves
+  /// the worker; the per-slice word counts sum to validate()'s return.
   virtual std::size_t validateSources(
       std::size_t numMachines,
       const std::vector<std::vector<Message>>& sliceOutboxes,
-      std::size_t begin) const;
+      std::size_t begin) const = 0;
 
   /// True when the topology constrains per-machine *inbound* words; the
-  /// sharded engine then ships per-destination word sums with each
-  /// barrier report so the coordinator can run validateInbound().
+  /// engine then gathers per-destination word sums (sharded: each worker's
+  /// barrier report carries its share) for validateInbound().
   virtual bool needsInboundSums() const { return false; }
 
-  /// Receiver-side half: received[m] = words delivered to machine m this
-  /// round, summed across every shard (same-shard deliveries included).
-  /// Throws CapacityError on a violation; the default has no receiver
-  /// constraints.
+  /// Receive half: received[m] = words delivered to machine m this round,
+  /// summed over every source. Throws CapacityError on a violation; the
+  /// default has no receiver constraints.
   virtual void validateInbound(
       std::size_t numMachines,
       const std::vector<std::uint64_t>& received) const;
-
-  /// Round independence for the pipelined shard barrier: true when a round
-  /// of this topology can commit off the *fused* single-verdict barrier —
-  /// i.e. when validateSources() + validateInbound() together check exactly
-  /// what validateSlice() checks, so no post-exchange validation wave is
-  /// needed and consecutive rounds may overlap (a worker that shipped its
-  /// sections starts the next round's local phase while late peers still
-  /// stream). The base class only promises that split for free placement
-  /// rounds (nothing is validated there); a subclass whose constraints are
-  /// fully covered by the source/inbound halves overrides this to return
-  /// true unconditionally — all three built-in topologies do. A custom
-  /// subclass that only implements validateSlice() keeps the strict
-  /// two-phase barrier (and the shm transport falls back to the socket
-  /// mesh), so its checks always run.
-  virtual bool canOverlap(bool freePlacement) const { return freePlacement; }
 
   virtual Mode mode() const { return Mode::kDeliverAll; }
 };
@@ -139,9 +115,6 @@ class MpcTopology final : public Topology {
   WireKind wireKind() const override { return WireKind::kMpc; }
   std::uint64_t wireParam() const override { return wordsPerMachine_; }
   std::size_t wordsPerMachine() const { return wordsPerMachine_; }
-  std::size_t validateSlice(std::size_t numMachines,
-                            const std::vector<std::vector<Message>>& outboxes,
-                            std::size_t begin, std::size_t end) const override;
   std::size_t validateSources(
       std::size_t numMachines,
       const std::vector<std::vector<Message>>& sliceOutboxes,
@@ -150,9 +123,6 @@ class MpcTopology final : public Topology {
   void validateInbound(
       std::size_t numMachines,
       const std::vector<std::uint64_t>& received) const override;
-  // Send budgets are source-side, receive budgets ride the inbound sums:
-  // the two halves cover validateSlice exactly, every round.
-  bool canOverlap(bool) const override { return true; }
 
  private:
   std::size_t wordsPerMachine_;
@@ -162,30 +132,20 @@ class CliqueTopology final : public Topology {
  public:
   const char* name() const override { return "clique"; }
   WireKind wireKind() const override { return WireKind::kClique; }
-  std::size_t validateSlice(std::size_t numMachines,
-                            const std::vector<std::vector<Message>>& outboxes,
-                            std::size_t begin, std::size_t end) const override;
   std::size_t validateSources(
       std::size_t numMachines,
       const std::vector<std::vector<Message>>& sliceOutboxes,
       std::size_t begin) const override;
-  // Pair-uniqueness and single-word checks are fully source-side.
-  bool canOverlap(bool) const override { return true; }
 };
 
 class PramTopology final : public Topology {
  public:
   const char* name() const override { return "pram"; }
   WireKind wireKind() const override { return WireKind::kPram; }
-  std::size_t validateSlice(std::size_t numMachines,
-                            const std::vector<std::vector<Message>>& outboxes,
-                            std::size_t begin, std::size_t end) const override;
   std::size_t validateSources(
       std::size_t numMachines,
       const std::vector<std::vector<Message>>& sliceOutboxes,
       std::size_t begin) const override;
-  // Single-word cell writes are checked entirely at the source.
-  bool canOverlap(bool) const override { return true; }
   Mode mode() const override { return Mode::kPriorityWrite; }
 };
 

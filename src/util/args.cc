@@ -1,7 +1,9 @@
 #include "util/args.hpp"
 
+#include <cerrno>
 #include <cstdlib>
 #include <stdexcept>
+#include <string>
 
 namespace mpcspan {
 
@@ -65,11 +67,45 @@ std::string ArgParser::get(const std::string& name) const {
 }
 
 std::int64_t ArgParser::getInt(const std::string& name) const {
-  return std::strtoll(get(name).c_str(), nullptr, 10);
+  const std::string v = get(name);
+  char* end = nullptr;
+  errno = 0;
+  const long long x = std::strtoll(v.c_str(), &end, 10);
+  if (v.empty() || *end != '\0')
+    throw std::invalid_argument("--" + name + ": expected an integer, got '" +
+                                v + "'");
+  if (errno == ERANGE)
+    throw std::invalid_argument("--" + name + ": integer out of range: " + v);
+  return x;
 }
 
 double ArgParser::getDouble(const std::string& name) const {
-  return std::strtod(get(name).c_str(), nullptr);
+  const std::string v = get(name);
+  char* end = nullptr;
+  errno = 0;
+  const double x = std::strtod(v.c_str(), &end);
+  if (v.empty() || *end != '\0')
+    throw std::invalid_argument("--" + name + ": expected a number, got '" +
+                                v + "'");
+  if (errno == ERANGE)
+    throw std::invalid_argument("--" + name + ": number out of range: " + v);
+  return x;
+}
+
+std::size_t ArgParser::getCount(const std::string& name) const {
+  const std::int64_t x = getInt(name);
+  if (x < 0)
+    throw std::invalid_argument("--" + name + ": must not be negative, got " +
+                                std::to_string(x));
+  return static_cast<std::size_t>(x);
+}
+
+std::uint16_t ArgParser::getPort(const std::string& name) const {
+  const std::int64_t x = getInt(name);
+  if (x < 0 || x > 65535)
+    throw std::invalid_argument("--" + name + ": port must be in [0, 65535], got " +
+                                std::to_string(x));
+  return static_cast<std::uint16_t>(x);
 }
 
 bool ArgParser::getBool(const std::string& name) const {

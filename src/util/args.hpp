@@ -3,6 +3,7 @@
 // unknown flags as errors and prints a generated usage string.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -24,8 +25,15 @@ class ArgParser {
 
   bool has(const std::string& name) const;
   std::string get(const std::string& name) const;
+  /// Numeric reads reject an empty value, trailing garbage, and
+  /// out-of-range input with std::invalid_argument naming the flag (so read
+  /// a flag whose default is empty only when has() is true).
   std::int64_t getInt(const std::string& name) const;
   double getDouble(const std::string& name) const;
+  /// getInt restricted to [0, 2^63): counts, sizes, ids.
+  std::size_t getCount(const std::string& name) const;
+  /// getInt restricted to a TCP port, [0, 65535] (0 = ephemeral).
+  std::uint16_t getPort(const std::string& name) const;
   bool getBool(const std::string& name) const;
 
   bool helpRequested() const { return helpRequested_; }

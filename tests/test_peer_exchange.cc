@@ -1,20 +1,15 @@
-// The worker-to-worker peer exchange: resident STEP rounds over the mesh
-// must be bit-identical to the coordinator-relay reference (rounds, ledger,
-// kernel state, resident inbox contents) across shard and thread counts on
-// all three topologies; a peer death mid-exchange surfaces ShardError for
-// everyone with no zombies and no partial inbox merge; and corrupt section
-// frames are rejected without integer overflow (WireReader / section-merge
-// hardening).
+// The worker-to-worker exchange on both transports: a topology abort
+// (the coordinator's receive check) or a kernel throw discards the
+// speculatively exchanged deliveries — resident inboxes, ledger, and
+// kernel state stay as before the round — and the workers stay usable;
+// the socketpair mesh completes arbitrarily large full-duplex frames
+// without a pairwise ordering; and corrupt section frames are rejected
+// without integer overflow (WireReader / section-merge hardening).
 #include "runtime/shard/peer_mesh.hpp"
 
 #include <gtest/gtest.h>
 
-#include <sys/types.h>
-#include <sys/wait.h>
-
-#include <cstdlib>
 #include <memory>
-#include <mutex>
 #include <thread>
 
 #include "runtime/round_engine.hpp"
@@ -24,159 +19,28 @@
 namespace mpcspan {
 namespace {
 
-using runtime::CliqueTopology;
-using runtime::Delivery;
 using runtime::EngineConfig;
 using runtime::KernelCtx;
 using runtime::KernelId;
 using runtime::Message;
 using runtime::MpcTopology;
-using runtime::PramTopology;
 using runtime::RoundEngine;
 using runtime::StepKernel;
-using runtime::Topology;
+using runtime::Transport;
 using runtime::shard::mergeSectionRows;
 using runtime::shard::ShardError;
 using runtime::shard::WireReader;
 using runtime::shard::WireWriter;
 
-/// Deterministic cross-shard-heavy kernel: per-machine owned state feeds the
-/// next round's emissions, so any divergence in routing or merge order
-/// compounds across rounds instead of cancelling out. args[0] picks the
-/// topology-legal traffic shape.
-class MeshProbeKernel final : public StepKernel {
- public:
-  static std::string kernelName() { return "test.meshprobe"; }
-
-  std::vector<Message> step(const KernelCtx& ctx) override {
-    ensureSized(ctx);
-    const Word mode = ctx.args.empty() ? 0 : ctx.args[0];
-    const std::size_t n = ctx.numMachines;
-    const std::size_t m = ctx.machine;
-    Word sum = 1;
-    for (const Delivery& d : ctx.inbox) sum += 3 * d.src + d.payload.front();
-    state_[m] += sum;
-    const Word r = ++round_[m];
-    std::vector<Message> out;
-    if (mode == 0) {
-      // MPC: mixed single-word (inline payload) and multi-word fan-out.
-      out.push_back({(m + r) % n, {state_[m], state_[m] ^ m, r}});
-      out.push_back({(m * 3 + 1) % n, {state_[m]}});
-      if (m % 2 == 0) out.push_back({(m + n - 1) % n, {r, static_cast<Word>(m)}});
-    } else if (mode == 1) {
-      // Clique: one single-word message per ordered pair.
-      out.push_back({(m + r) % n, {state_[m]}});
-    } else {
-      // PRAM: concurrent single-word writes, priority-CRCW resolved.
-      out.push_back({(m * 5 + r) % 4, {state_[m]}});
-    }
-    return out;
-  }
-
-  std::vector<Word> fetch(const KernelCtx& ctx) override {
-    ensureSized(ctx);
-    return {state_[ctx.machine], round_[ctx.machine]};
-  }
-
- private:
-  void ensureSized(const KernelCtx& ctx) {
-    std::call_once(sized_, [&] {
-      state_.resize(ctx.numMachines);
-      round_.resize(ctx.numMachines);
-    });
-  }
-
-  std::once_flag sized_;
-  std::vector<Word> state_;
-  std::vector<Word> round_;
-};
-
-std::unique_ptr<Topology> makeTopology(int mode) {
-  if (mode == 0) return std::make_unique<MpcTopology>(64);
-  if (mode == 1) return std::make_unique<CliqueTopology>();
-  return std::make_unique<PramTopology>();
+const char* transportName(Transport t) {
+  return t == Transport::kTcp ? "tcp" : "shm";
 }
 
-/// Everything observable after a kernel-round workload.
-struct Result {
-  std::vector<std::vector<Word>> fetched;
-  std::vector<Word> flatInboxes;
-  std::size_t rounds = 0, words = 0, maxRound = 0;
-
-  friend bool operator==(const Result&, const Result&) = default;
-};
-
-Result runWorkload(int mode, std::size_t threads, std::size_t shards,
-                   int peer) {
-  const std::size_t n = 12;
-  EngineConfig cfg{n, threads, shards, /*resident=*/1, /*peerExchange=*/peer};
-  RoundEngine eng(cfg, makeTopology(mode));
-  const KernelId k = eng.registerKernel(
-      MeshProbeKernel::kernelName(),
-      [] { return std::make_unique<MeshProbeKernel>(); });
-  for (int i = 0; i < 5; ++i) eng.step(k, {static_cast<Word>(mode)});
-  // One free data-placement round rides the same exchange machinery.
-  eng.stepShuffle(k, {static_cast<Word>(mode)});
-  Result res;
-  res.fetched = eng.fetchKernel(k);
-  for (const auto& inbox : eng.snapshotInboxes())
-    for (const Delivery& d : inbox) {
-      res.flatInboxes.push_back(d.src);
-      res.flatInboxes.insert(res.flatInboxes.end(), d.payload.begin(),
-                             d.payload.end());
-    }
-  res.rounds = eng.rounds();
-  res.words = eng.totalWordsSent();
-  res.maxRound = eng.maxRoundWords();
-  return res;
-}
-
-TEST(PeerExchange, BitIdenticalToRelayAndInProcessOnAllTopologies) {
-  for (const int mode : {0, 1, 2}) {
-    const Result base = runWorkload(mode, 1, 1, 1);
-    EXPECT_EQ(base.rounds, 5u) << "mode " << mode;
-    for (const std::size_t shards : {2u, 3u, 4u})
-      for (const int peer : {0, 1})
-        EXPECT_EQ(base, runWorkload(mode, 1, shards, peer))
-            << "mode " << mode << ", " << shards << " shards, peer=" << peer;
-    EXPECT_EQ(base, runWorkload(mode, 2, 4, 1)) << "mode " << mode
-                                                << ", 2 threads x 4 shards";
-  }
-}
-
-TEST(PeerExchange, BackendSelectionFollowsConfigAndEnv) {
-  {
-    RoundEngine eng(EngineConfig{8, 1, 2, 1, 1},
-                    std::make_unique<MpcTopology>(16));
-    EXPECT_TRUE(eng.peerMeshShards());
-  }
-  {
-    RoundEngine eng(EngineConfig{8, 1, 2, 1, 0},
-                    std::make_unique<MpcTopology>(16));
-    EXPECT_FALSE(eng.peerMeshShards());
-  }
-  {
-    // The legacy fork-per-round backend never runs the mesh.
-    RoundEngine eng(EngineConfig{8, 1, 2, 0, 1},
-                    std::make_unique<MpcTopology>(16));
-    EXPECT_FALSE(eng.peerMeshShards());
-  }
-  ASSERT_EQ(::setenv("MPCSPAN_PEER_EXCHANGE", "0", 1), 0);
-  {
-    RoundEngine eng(EngineConfig{8, 1, 2}, std::make_unique<MpcTopology>(16));
-    EXPECT_FALSE(eng.peerMeshShards());
-  }
-  ASSERT_EQ(::unsetenv("MPCSPAN_PEER_EXCHANGE"), 0);
-  {
-    RoundEngine eng(EngineConfig{8, 1, 2}, std::make_unique<MpcTopology>(16));
-    EXPECT_TRUE(eng.peerMeshShards());
-  }
-}
-
-TEST(PeerExchange, CapacityAbortConsumesNoPeerDataAndKeepsWorkersAlive) {
-  // A validation failure aborts after the peer bytes moved but before any
-  // worker merged them: resident inboxes, kernel state, and the ledger must
-  // be exactly as before the aborted round, and the engine stays usable.
+TEST(PeerExchange, CapacityAbortDiscardsSpeculativeDeliveriesOnBothTransports) {
+  // A receive-budget violation is only detectable at the coordinator, after
+  // every worker already shipped and merged its sections speculatively:
+  // resident inboxes, kernel state, and the ledger must be exactly as
+  // before the aborted round, and the engine stays usable.
   class Flooder final : public StepKernel {
    public:
     std::vector<Message> step(const KernelCtx& ctx) override {
@@ -185,32 +49,36 @@ TEST(PeerExchange, CapacityAbortConsumesNoPeerDataAndKeepsWorkersAlive) {
       return {{(ctx.machine + 5) % ctx.numMachines, {ctx.machine + 7}}};
     }
   };
-  RoundEngine eng(EngineConfig{8, 1, 4, 1, 1},
-                  std::make_unique<MpcTopology>(16));
-  const KernelId k =
-      eng.registerKernel("test.flooder", [] { return std::make_unique<Flooder>(); });
-  eng.step(k);
-  const std::size_t wordsBefore = eng.totalWordsSent();
-  const auto inboxesBefore = eng.snapshotInboxes();
-  EXPECT_THROW(eng.step(k, {1}), CapacityError);
-  EXPECT_EQ(eng.rounds(), 1u);
-  EXPECT_EQ(eng.totalWordsSent(), wordsBefore);
-  const auto inboxesAfter = eng.snapshotInboxes();
-  ASSERT_EQ(inboxesBefore.size(), inboxesAfter.size());
-  for (std::size_t m = 0; m < inboxesBefore.size(); ++m) {
-    ASSERT_EQ(inboxesBefore[m].size(), inboxesAfter[m].size());
-    for (std::size_t i = 0; i < inboxesBefore[m].size(); ++i) {
-      EXPECT_EQ(inboxesBefore[m][i].src, inboxesAfter[m][i].src);
-      EXPECT_EQ(inboxesBefore[m][i].payload, inboxesAfter[m][i].payload);
+  for (const Transport transport : {Transport::kShmRing, Transport::kTcp}) {
+    SCOPED_TRACE(transportName(transport));
+    RoundEngine eng(EngineConfig{8, 1, 4, transport},
+                    std::make_unique<MpcTopology>(16));
+    const KernelId k = eng.registerKernel(
+        "test.flooder", [] { return std::make_unique<Flooder>(); });
+    eng.step(k);
+    const std::size_t wordsBefore = eng.totalWordsSent();
+    const auto inboxesBefore = eng.snapshotInboxes();
+    EXPECT_THROW(eng.step(k, {1}), CapacityError);
+    EXPECT_EQ(eng.rounds(), 1u);
+    EXPECT_EQ(eng.totalWordsSent(), wordsBefore);
+    const auto inboxesAfter = eng.snapshotInboxes();
+    ASSERT_EQ(inboxesBefore.size(), inboxesAfter.size());
+    for (std::size_t m = 0; m < inboxesBefore.size(); ++m) {
+      ASSERT_EQ(inboxesBefore[m].size(), inboxesAfter[m].size());
+      for (std::size_t i = 0; i < inboxesBefore[m].size(); ++i) {
+        EXPECT_EQ(inboxesBefore[m][i].src, inboxesAfter[m][i].src);
+        EXPECT_EQ(inboxesBefore[m][i].payload, inboxesAfter[m][i].payload);
+      }
     }
+    eng.step(k);  // the workers survived the abort
+    EXPECT_EQ(eng.rounds(), 2u);
   }
-  eng.step(k);  // the workers survived the abort
-  EXPECT_EQ(eng.rounds(), 2u);
 }
 
-TEST(PeerExchange, KernelThrowAbortsBeforeAnyPeerByteMoves) {
-  // Phase-A failure: the coordinator's abort byte arrives before the mesh
-  // exchange starts, so the round dies with no section shipped anywhere.
+TEST(PeerExchange, KernelThrowAbortsTheRoundOnBothTransports) {
+  // Phase-A failure: the failing worker still pumps empty sections so no
+  // peer blocks mid-exchange, every worker reads the abort verdict, and the
+  // round dies uncharged with the engine still usable.
   class Thrower final : public StepKernel {
    public:
     std::vector<Message> step(const KernelCtx& ctx) override {
@@ -219,45 +87,17 @@ TEST(PeerExchange, KernelThrowAbortsBeforeAnyPeerByteMoves) {
       return {{(ctx.machine + 3) % ctx.numMachines, {ctx.machine}}};
     }
   };
-  RoundEngine eng(EngineConfig{8, 1, 4, 1, 1},
-                  std::make_unique<MpcTopology>(32));
-  const KernelId k =
-      eng.registerKernel("test.thrower", [] { return std::make_unique<Thrower>(); });
-  eng.step(k);
-  EXPECT_THROW(eng.step(k, {1}), std::runtime_error);
-  EXPECT_EQ(eng.rounds(), 1u);
-  eng.step(k);
-  EXPECT_EQ(eng.rounds(), 2u);
-}
-
-TEST(PeerExchange, PeerDeathMidExchangeSurfacesShardErrorForAll) {
-  // The injected fault (MPCSPAN_TEST_PEER_DIE_SHARD, read at worker fork)
-  // kills shard 1 right after the phase-A go — mid mesh exchange from every
-  // peer's point of view. Every other worker must observe the dead peer on
-  // its mesh socket and exit, the engine must fail loudly (not hang), stay
-  // failed, and reap every worker — no zombies, no partial inbox merge.
-  ASSERT_EQ(::setenv("MPCSPAN_TEST_PEER_DIE_SHARD", "1", 1), 0);
-  std::vector<pid_t> pids;
-  {
-    RoundEngine eng(EngineConfig{8, 1, 4, 1, 1},
+  for (const Transport transport : {Transport::kShmRing, Transport::kTcp}) {
+    SCOPED_TRACE(transportName(transport));
+    RoundEngine eng(EngineConfig{8, 1, 4, transport},
                     std::make_unique<MpcTopology>(32));
     const KernelId k = eng.registerKernel(
-        MeshProbeKernel::kernelName(),
-        [] { return std::make_unique<MeshProbeKernel>(); });
-    // Fork the workers on a round that does not reach the fault hook.
-    std::vector<std::vector<Message>> out(8);
-    out[0].push_back({7, {1}});
-    eng.exchange(std::move(out));
-    pids = eng.shardBackend()->workerPids();
-    ASSERT_EQ(pids.size(), 4u);
-    EXPECT_THROW(eng.step(k), ShardError);
-    EXPECT_THROW(eng.step(k), ShardError);  // the backend stays failed
-  }
-  ASSERT_EQ(::unsetenv("MPCSPAN_TEST_PEER_DIE_SHARD"), 0);
-  for (const pid_t pid : pids) {
-    int st = 0;
-    EXPECT_EQ(::waitpid(pid, &st, WNOHANG), -1) << "worker leaked: " << pid;
-    EXPECT_EQ(errno, ECHILD);
+        "test.thrower", [] { return std::make_unique<Thrower>(); });
+    eng.step(k);
+    EXPECT_THROW(eng.step(k, {1}), std::runtime_error);
+    EXPECT_EQ(eng.rounds(), 1u);
+    eng.step(k);
+    EXPECT_EQ(eng.rounds(), 2u);
   }
 }
 

@@ -1,23 +1,21 @@
-// The pipelined shard barrier: overlapped rounds must be bit-identical to
-// the strict reference (rounds, ledger, kernel state, resident inbox
-// contents) across topologies, shard/thread counts, and all three mesh
-// transports; a kernel throw during the speculative phase aborts with no
-// state leak and no zombies; a peer death during overlap surfaces
-// ShardError for everyone; Topology::canOverlap gates per-round overlap
-// (custom subclasses keep the strict barrier and shm falls back to the
-// socket mesh); and the per-round communication budget fails a trickling
+// The fused, pipelined shard barrier: workers exchange and stage a round's
+// deliveries before its verdict lands, so a kernel throw during the
+// speculative phase must abort with no state leak and no zombies on both
+// transports; a custom topology is enforced through the same
+// validateSources + validateInbound contract in-process and on both
+// transports; and the per-round communication budget fails a trickling
 // peer instead of letting it extend the round unbounded.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
 #include <sys/types.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -27,102 +25,31 @@
 #include "runtime/shard/transport.hpp"
 #include "runtime/shard/wire.hpp"
 #include "runtime/topology.hpp"
+#include "util/deadline.hpp"
 
 namespace mpcspan {
 namespace {
 
-using runtime::CliqueTopology;
 using runtime::Delivery;
 using runtime::EngineConfig;
 using runtime::KernelCtx;
 using runtime::KernelId;
 using runtime::Message;
 using runtime::MpcTopology;
-using runtime::PramTopology;
 using runtime::RoundEngine;
 using runtime::StepKernel;
 using runtime::Topology;
 using runtime::Transport;
-using runtime::shard::DeadlineBudget;
 using runtime::shard::ShardError;
 using runtime::shard::WireReader;
 using runtime::shard::WireWriter;
+using util::DeadlineBudget;
 
-// --- canOverlap: the per-topology overlap contract. ---
-
-/// Minimal custom topology: full validation delegated to an inner
-/// MpcTopology, but none of the fused-barrier overrides — the base class
-/// promises overlap only for free placement, so kernel rounds must keep
-/// the strict barrier (and shm must fall back to the socket mesh, whose
-/// strict conversation always runs validateSlice).
-class CustomCapTopology final : public Topology {
- public:
-  explicit CustomCapTopology(std::size_t cap) : inner_(cap) {}
-  const char* name() const override { return "custom-cap"; }
-  std::size_t validateSlice(std::size_t numMachines,
-                            const std::vector<std::vector<Message>>& outboxes,
-                            std::size_t begin, std::size_t end) const override {
-    return inner_.validateSlice(numMachines, outboxes, begin, end);
-  }
-
- private:
-  MpcTopology inner_;
-};
-
-TEST(Pipeline, CanOverlapContract) {
-  // All three built-ins split validation across the fused barrier exactly,
-  // so every round kind may overlap.
-  EXPECT_TRUE(MpcTopology(64).canOverlap(false));
-  EXPECT_TRUE(MpcTopology(64).canOverlap(true));
-  EXPECT_TRUE(CliqueTopology().canOverlap(false));
-  EXPECT_TRUE(CliqueTopology().canOverlap(true));
-  EXPECT_TRUE(PramTopology().canOverlap(false));
-  EXPECT_TRUE(PramTopology().canOverlap(true));
-  // A custom subclass that only implements validateSlice keeps the strict
-  // barrier for kernel rounds; free-placement rounds validate nothing and
-  // may always overlap.
-  EXPECT_FALSE(CustomCapTopology(64).canOverlap(false));
-  EXPECT_TRUE(CustomCapTopology(64).canOverlap(true));
+const char* transportName(Transport t) {
+  return t == Transport::kTcp ? "tcp" : "shm";
 }
 
-TEST(Pipeline, BackendSelectionFollowsConfigAndEnv) {
-  // Pin the env default regardless of what the outer test harness exports.
-  ASSERT_EQ(::unsetenv("MPCSPAN_PIPELINE"), 0);
-  {
-    RoundEngine eng(EngineConfig{8, 1, 2, 1, 1},
-                    std::make_unique<MpcTopology>(16));
-    EXPECT_TRUE(eng.pipelinedShards());  // MPCSPAN_PIPELINE default: on
-  }
-  {
-    RoundEngine eng(EngineConfig{8, 1, 2, 1, 1, Transport::kDefault,
-                                 /*pipeline=*/0},
-                    std::make_unique<MpcTopology>(16));
-    EXPECT_FALSE(eng.pipelinedShards());
-  }
-  {
-    // Relay rounds have no mesh to overlap on: pipeline=1 is inert.
-    RoundEngine eng(EngineConfig{8, 1, 2, 1, 0, Transport::kDefault,
-                                 /*pipeline=*/1},
-                    std::make_unique<MpcTopology>(16));
-    EXPECT_FALSE(eng.pipelinedShards());
-  }
-  ASSERT_EQ(::setenv("MPCSPAN_PIPELINE", "0", 1), 0);
-  {
-    RoundEngine eng(EngineConfig{8, 1, 2, 1, 1},
-                    std::make_unique<MpcTopology>(16));
-    EXPECT_FALSE(eng.pipelinedShards());
-  }
-  {
-    // An explicit config wins over the env var.
-    RoundEngine eng(EngineConfig{8, 1, 2, 1, 1, Transport::kDefault,
-                                 /*pipeline=*/1},
-                    std::make_unique<MpcTopology>(16));
-    EXPECT_TRUE(eng.pipelinedShards());
-  }
-  ASSERT_EQ(::unsetenv("MPCSPAN_PIPELINE"), 0);
-}
-
-// --- Bit-identity: pipelined vs strict vs in-process golden. ---
+// --- A custom topology, enforced identically on every backend. ---
 
 /// Deterministic cross-shard-heavy kernel whose per-round emissions are a
 /// pure function of the inbox, so a correctly-discarded abort leaves no
@@ -160,12 +87,6 @@ class PipeProbeKernel final : public StepKernel {
   }
 };
 
-std::unique_ptr<Topology> makeTopology(int mode) {
-  if (mode == 0) return std::make_unique<MpcTopology>(64);
-  if (mode == 1) return std::make_unique<CliqueTopology>();
-  return std::make_unique<PramTopology>();
-}
-
 /// Everything observable after a kernel-round workload.
 struct Result {
   std::vector<std::vector<Word>> fetched;
@@ -190,62 +111,89 @@ Result collect(RoundEngine& eng, KernelId k) {
   return res;
 }
 
-Result runWorkload(int mode, std::size_t threads, std::size_t shards,
-                   Transport transport, int pipeline) {
-  const std::size_t n = 12;
-  EngineConfig cfg{n,         threads,   shards, /*resident=*/1,
-                   /*peerExchange=*/1,   transport, pipeline};
-  RoundEngine eng(cfg, makeTopology(mode));
-  const KernelId k = eng.registerKernel(
-      PipeProbeKernel::kernelName(),
-      [] { return std::make_unique<PipeProbeKernel>(); });
-  for (int i = 0; i < 5; ++i) eng.step(k, {static_cast<Word>(mode)});
-  // One free data-placement round rides the same overlap machinery.
-  eng.stepShuffle(k, {static_cast<Word>(mode)});
-  return collect(eng, k);
-}
-
-TEST(Pipeline, BitIdenticalToStrictAndInProcessOnAllTopologies) {
-  for (const int mode : {0, 1, 2}) {
-    const Result base =
-        runWorkload(mode, 1, 1, Transport::kDefault, /*pipeline=*/-1);
-    EXPECT_EQ(base.rounds, 5u) << "mode " << mode;
-    for (const Transport transport :
-         {Transport::kShmRing, Transport::kSocketMesh, Transport::kTcp}) {
-      for (const std::size_t shards : {2u, 4u})
-        for (const int pipeline : {0, 1})
-          EXPECT_EQ(base, runWorkload(mode, 1, shards, transport, pipeline))
-              << "mode " << mode << ", " << shards << " shards, transport "
-              << static_cast<int>(transport) << ", pipeline=" << pipeline;
-      EXPECT_EQ(base, runWorkload(mode, 2, 4, transport, /*pipeline=*/1))
-          << "mode " << mode << ", 2 threads x 4 shards, transport "
-          << static_cast<int>(transport);
-    }
+/// A custom topology outside the three built-ins: no send limit, a
+/// per-machine receive cap. It implements only the two validation halves,
+/// and the engine must enforce it the same way in-process and sharded —
+/// the source half inside the workers, the receive half at the
+/// coordinator over the summed report columns.
+class RecvCapTopology final : public Topology {
+ public:
+  explicit RecvCapTopology(std::size_t cap) : cap_(cap) {}
+  const char* name() const override { return "recv-cap"; }
+  std::size_t validateSources(
+      std::size_t /*numMachines*/,
+      const std::vector<std::vector<Message>>& sliceOutboxes,
+      std::size_t /*begin*/) const override {
+    std::size_t words = 0;
+    for (const auto& out : sliceOutboxes)
+      for (const Message& msg : out) words += msg.payload.size();
+    return words;
   }
-}
+  bool needsInboundSums() const override { return true; }
+  void validateInbound(std::size_t numMachines,
+                       const std::vector<std::uint64_t>& received)
+      const override {
+    for (std::size_t m = 0; m < numMachines; ++m)
+      if (received[m] > cap_)
+        throw CapacityError("recv-cap: machine " + std::to_string(m) +
+                            " receives " + std::to_string(received[m]));
+  }
 
-TEST(Pipeline, ShmFallsBackToSocketMeshForCustomTopology) {
-  // A topology without the fused-validation overrides cannot commit off
-  // the shm ring's single-verdict barrier: the engine must route its
-  // sections over the socket mesh instead (strict two-phase, full
-  // validateSlice), and stay bit-identical to the in-process reference.
+ private:
+  std::size_t cap_;
+};
+
+/// Every machine writes two words to machine 0: 24 words > the cap of 16.
+class FloodKernel final : public StepKernel {
+ public:
+  std::vector<Message> step(const KernelCtx& ctx) override {
+    return {{0, {ctx.machine, ctx.machine}}};
+  }
+};
+
+TEST(Pipeline, CustomReceiveCapEnforcedIdenticallyInProcessAndOnBothTransports) {
+  // Legal rounds stay bit-identical; a kernel round and a coordinator-built
+  // round that flood machine 0 past its receive cap throw the same
+  // CapacityError everywhere, uncharged, and the engine keeps going.
+  struct Outcome {
+    Result result;
+    std::string kernelErr, exchangeErr;
+    bool operator==(const Outcome&) const = default;
+  };
   auto run = [](std::size_t shards, Transport transport) {
-    RoundEngine eng(EngineConfig{12, 1, shards, 1, 1, transport},
-                    std::make_unique<CustomCapTopology>(64));
+    RoundEngine eng(EngineConfig{12, 1, shards, transport},
+                    std::make_unique<RecvCapTopology>(16));
     const KernelId k = eng.registerKernel(
         PipeProbeKernel::kernelName(),
         [] { return std::make_unique<PipeProbeKernel>(); });
-    for (int i = 0; i < 4; ++i) eng.step(k, {0});
-    Result res = collect(eng, k);
-    if (shards > 1) {
-      EXPECT_FALSE(eng.shmRingShards());
-      EXPECT_TRUE(eng.peerMeshShards());
+    const KernelId flood = eng.registerKernel(
+        "test.flood", [] { return std::make_unique<FloodKernel>(); });
+    for (int i = 0; i < 3; ++i) eng.step(k, {0});
+    Outcome out;
+    try {
+      eng.step(flood);
+    } catch (const CapacityError& e) {
+      out.kernelErr = e.what();
     }
-    return res;
+    try {
+      std::vector<std::vector<Message>> outboxes(12);
+      for (std::size_t m = 0; m < 12; ++m) outboxes[m].push_back({0, {m, m}});
+      eng.exchange(std::move(outboxes));
+    } catch (const CapacityError& e) {
+      out.exchangeErr = e.what();
+    }
+    for (int i = 0; i < 2; ++i) eng.step(k, {0});
+    out.result = collect(eng, k);
+    return out;
   };
-  const Result base = run(1, Transport::kDefault);
-  EXPECT_EQ(run(3, Transport::kShmRing), base);
-  EXPECT_EQ(run(3, Transport::kDefault), base);
+  const Outcome base = run(1, Transport::kDefault);
+  EXPECT_EQ(base.result.rounds, 5u);
+  EXPECT_FALSE(base.kernelErr.empty()) << "the receive cap was not enforced";
+  EXPECT_FALSE(base.exchangeErr.empty()) << "the receive cap was not enforced";
+  for (const Transport transport : {Transport::kShmRing, Transport::kTcp})
+    for (const std::size_t shards : {2u, 3u})
+      EXPECT_EQ(run(shards, transport), base)
+          << shards << " shards, " << transportName(transport);
 }
 
 // --- Abort semantics during overlap. ---
@@ -275,10 +223,9 @@ TEST(Pipeline, KernelThrowDuringSpeculativeComputeAbortsCleanly) {
   // leave the resident inboxes, ledger, and worker processes exactly as
   // before the round — and the rounds after the abort must match an
   // engine that never attempted it.
-  for (const Transport transport :
-       {Transport::kShmRing, Transport::kSocketMesh, Transport::kTcp}) {
+  for (const Transport transport : {Transport::kShmRing, Transport::kTcp}) {
     RoundEngine ref(EngineConfig{12, 1, 1}, std::make_unique<MpcTopology>(64));
-    RoundEngine eng(EngineConfig{12, 1, 4, 1, 1, transport, /*pipeline=*/1},
+    RoundEngine eng(EngineConfig{12, 1, 4, transport},
                     std::make_unique<MpcTopology>(64));
     const KernelId kr = ref.registerKernel(
         "test.overthrow", [] { return std::make_unique<OverlapThrower>(); });
@@ -300,39 +247,7 @@ TEST(Pipeline, KernelThrowDuringSpeculativeComputeAbortsCleanly) {
     ref.step(kr);
     eng.step(ke);
     eng.step(ke);
-    EXPECT_EQ(collect(eng, ke), collect(ref, kr))
-        << "transport " << static_cast<int>(transport);
-  }
-}
-
-TEST(Pipeline, PeerDeathDuringOverlapSurfacesShardErrorForAll) {
-  // Shard 1 dies as its peers enter the speculative exchange — every
-  // worker is mid-mesh with its verdict still pending. The engine must
-  // fail the round loudly (not hang, not commit), stay failed, and reap
-  // every worker.
-  ASSERT_EQ(::setenv("MPCSPAN_TEST_PEER_DIE_SHARD", "1", 1), 0);
-  std::vector<pid_t> pids;
-  {
-    RoundEngine eng(
-        EngineConfig{8, 1, 4, 1, 1, Transport::kSocketMesh, /*pipeline=*/1},
-        std::make_unique<MpcTopology>(32));
-    const KernelId k = eng.registerKernel(
-        PipeProbeKernel::kernelName(),
-        [] { return std::make_unique<PipeProbeKernel>(); });
-    // Fork the workers on a round that does not reach the fault hook.
-    std::vector<std::vector<Message>> out(8);
-    out[0].push_back({7, {1}});
-    eng.exchange(std::move(out));
-    pids = eng.shardBackend()->workerPids();
-    ASSERT_EQ(pids.size(), 4u);
-    EXPECT_THROW(eng.step(k, {0}), ShardError);
-    EXPECT_THROW(eng.step(k, {0}), ShardError);  // the backend stays failed
-  }
-  ASSERT_EQ(::unsetenv("MPCSPAN_TEST_PEER_DIE_SHARD"), 0);
-  for (const pid_t pid : pids) {
-    int st = 0;
-    EXPECT_EQ(::waitpid(pid, &st, WNOHANG), -1) << "worker leaked: " << pid;
-    EXPECT_EQ(errno, ECHILD);
+    EXPECT_EQ(collect(eng, ke), collect(ref, kr)) << transportName(transport);
   }
 }
 

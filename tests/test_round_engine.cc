@@ -25,9 +25,11 @@ using runtime::RoundEngine;
 using runtime::ThreadPool;
 using runtime::Topology;
 
+/// The in-process engine (one shard, whatever MPCSPAN_SHARDS says): the
+/// closure step below is in-process only.
 RoundEngine makeMpcEngine(std::size_t machines, std::size_t capacity,
                           std::size_t threads) {
-  return RoundEngine(EngineConfig{machines, threads},
+  return RoundEngine(EngineConfig{machines, threads, /*shards=*/1},
                      std::make_unique<MpcTopology>(capacity));
 }
 

@@ -3,8 +3,8 @@
 // bit-identical — rounds, traffic ledger, delivery contents — on all three
 // topologies), the resident-worker protocol (fork once, pid stability,
 // kernel-owned state, worker-lifecycle failure modes), the round barrier's
-// failure modes on both backends, and the facades running sharded
-// end-to-end.
+// failure modes, the closure step's in-process-only contract, and the
+// facades running sharded end-to-end.
 #include "runtime/shard/sharded_engine.hpp"
 
 #include <gtest/gtest.h>
@@ -152,26 +152,30 @@ TEST(ShardedEngine, PramPriorityWritesBitIdenticalAcrossShards) {
     EXPECT_EQ(base, runPramWorkload(2, shards)) << shards << " shards";
 }
 
-TEST(ShardedEngine, StepRunsInWorkerProcesses) {
-  // Ring token passing, compute phase executed inside forked shard workers.
+TEST(ShardedEngine, ClosureStepIsInProcessOnly) {
+  // A closure cannot follow machines into the worker processes: on a
+  // sharded engine step(StepFn) throws std::logic_error (pointing at
+  // registered kernels) before running anything, and the engine stays
+  // usable for kernel and exchange rounds.
   RoundEngine eng(EngineConfig{8, 2, 4}, std::make_unique<MpcTopology>(8));
   ASSERT_EQ(eng.numShards(), 4u);
-  eng.step([](std::size_t m, const std::vector<Delivery>&) {
-    std::vector<Message> out;
-    if (m == 0) out.push_back({1, {100}});
-    return out;
-  });
-  for (int r = 0; r < 6; ++r) {
-    eng.step([&](std::size_t m, const std::vector<Delivery>& in) {
-      std::vector<Message> out;
-      if (!in.empty())
-        out.push_back({(m + 1) % eng.numMachines(), {in[0].payload[0] + 1}});
-      return out;
+  bool ran = false;
+  try {
+    eng.step([&](std::size_t, const std::vector<Delivery>&) {
+      ran = true;
+      return std::vector<Message>{};
     });
+    ADD_FAILURE() << "closure step on a sharded engine did not throw";
+  } catch (const std::logic_error& e) {
+    EXPECT_NE(std::string(e.what()).find("registerKernel"), std::string::npos)
+        << e.what();
   }
-  ASSERT_EQ(eng.inbox(7).size(), 1u);
-  EXPECT_EQ(eng.inbox(7)[0].payload[0], 106u);
-  EXPECT_EQ(eng.rounds(), 7u);
+  EXPECT_FALSE(ran);
+  EXPECT_EQ(eng.rounds(), 0u);
+  std::vector<std::vector<Message>> out(8);
+  out[0].push_back({7, {1}});
+  EXPECT_EQ(eng.exchange(std::move(out))[7].size(), 1u);
+  EXPECT_EQ(eng.rounds(), 1u);
 }
 
 TEST(ShardedEngine, CapacityViolationAbortsTheRoundLoudly) {
@@ -195,12 +199,10 @@ TEST(ShardedEngine, UnknownDestinationThrowsInvalidArgument) {
 }
 
 TEST(ShardedEngine, UnknownDestinationFromAnotherShardsSource) {
-  // The rogue source belongs to the LAST shard, so every other worker's
-  // validateSlice sees the bad destination among sources it does not own.
-  // Pins the fixed heap overflow: each worker must bounds-check all
-  // sources (and MpcTopology must not index received[] unchecked) rather
-  // than only vetting its own range. The engine must also survive the
-  // aborted round.
+  // The rogue source belongs to the LAST shard. The coordinator's one
+  // bounds scan covers every source before the receive sums are indexed
+  // or any frame is built, so nothing indexes out of bounds and the
+  // engine survives the rejected round.
   RoundEngine eng(EngineConfig{8, 1, 4}, std::make_unique<MpcTopology>(8));
   ASSERT_EQ(eng.numShards(), 4u);
   std::vector<std::vector<Message>> out(8);
@@ -212,16 +214,6 @@ TEST(ShardedEngine, UnknownDestinationFromAnotherShardsSource) {
   ASSERT_EQ(inbox[0].size(), 1u);
   EXPECT_EQ(inbox[0][0].payload[0], 5u);
   EXPECT_EQ(eng.rounds(), 1u);
-}
-
-TEST(ShardedEngine, StepFnExceptionPropagates) {
-  RoundEngine eng(EngineConfig{6, 1, 3}, std::make_unique<MpcTopology>(8));
-  EXPECT_THROW(eng.step([](std::size_t m, const std::vector<Delivery>&)
-                            -> std::vector<Message> {
-                 if (m == 4) throw std::runtime_error("boom in worker");
-                 return {};
-               }),
-               std::runtime_error);
 }
 
 TEST(ShardedEngine, ShardCountClampsToMachines) {
@@ -289,11 +281,10 @@ class CounterKernel final : public runtime::StepKernel {
 };
 
 TEST(ResidentWorkers, ForkOncePidsStableAcrossRounds) {
-  RoundEngine eng(EngineConfig{8, 1, 4, /*resident=*/1},
+  RoundEngine eng(EngineConfig{8, 1, 4},
                   std::make_unique<MpcTopology>(16));
   const auto* backend = eng.shardBackend();
   ASSERT_NE(backend, nullptr);
-  ASSERT_TRUE(backend->resident());
   EXPECT_FALSE(backend->started());  // lazy: nothing forked yet
 
   auto oneRound = [&] {
@@ -316,7 +307,7 @@ TEST(ResidentWorkers, KernelStatePersistsAndMatchesInProcessBitForBit) {
   // topology.
   auto run = [](std::size_t threads, std::size_t shards, bool pram) {
     const std::size_t n = 8;
-    RoundEngine eng(EngineConfig{n, threads, shards, /*resident=*/1},
+    RoundEngine eng(EngineConfig{n, threads, shards},
                     pram ? std::unique_ptr<Topology>(new PramTopology())
                          : std::unique_ptr<Topology>(new MpcTopology(16)));
     const KernelId k = eng.registerKernel(
@@ -351,7 +342,7 @@ TEST(ResidentWorkers, KernelStatePersistsAndMatchesInProcessBitForBit) {
 }
 
 TEST(ResidentWorkers, KernelThrowMidRoundAbortsRoundForAllShards) {
-  RoundEngine eng(EngineConfig{8, 1, 4, /*resident=*/1},
+  RoundEngine eng(EngineConfig{8, 1, 4},
                   std::make_unique<MpcTopology>(16));
   const KernelId k = eng.registerKernel(
       CounterKernel::kernelName(),
@@ -392,7 +383,7 @@ TEST(ResidentWorkers, CapacityViolationInKernelRoundKeepsType) {
       return {{0, {1}}};
     }
   };
-  RoundEngine eng(EngineConfig{8, 1, 4, /*resident=*/1},
+  RoundEngine eng(EngineConfig{8, 1, 4},
                   std::make_unique<MpcTopology>(16));
   const KernelId k = eng.registerKernel(
       "test.flooder", [] { return std::make_unique<Flooder>(); });
@@ -410,7 +401,7 @@ TEST(ResidentWorkers, PostForkRegistrationResolvesViaGlobalRegistry) {
   runtime::registerGlobalKernel("test.counter.global", [] {
     return std::make_unique<CounterKernel>();
   });
-  RoundEngine eng(EngineConfig{8, 1, 4, /*resident=*/1},
+  RoundEngine eng(EngineConfig{8, 1, 4},
                   std::make_unique<MpcTopology>(16));
   std::vector<std::vector<Message>> out(8);
   out[0].push_back({5, {11}});
@@ -430,7 +421,7 @@ TEST(ResidentWorkers, PostForkRegistrationResolvesViaGlobalRegistry) {
 }
 
 TEST(ResidentWorkers, WorkerDeathBetweenRoundsSurfacesAsShardError) {
-  auto eng = std::make_unique<RoundEngine>(EngineConfig{8, 1, 4, /*resident=*/1},
+  auto eng = std::make_unique<RoundEngine>(EngineConfig{8, 1, 4},
                                            std::make_unique<MpcTopology>(16));
   auto oneRound = [&] {
     std::vector<std::vector<Message>> out(8);
@@ -459,7 +450,7 @@ TEST(ResidentWorkers, WorkerDeathBetweenRoundsSurfacesAsShardError) {
 TEST(ResidentWorkers, DestructorReapsIdleWorkers) {
   std::vector<pid_t> pids;
   {
-    RoundEngine eng(EngineConfig{6, 1, 3, /*resident=*/1},
+    RoundEngine eng(EngineConfig{6, 1, 3},
                     std::make_unique<MpcTopology>(16));
     std::vector<std::vector<Message>> out(6);
     out[0].push_back({5, {1}});
@@ -474,74 +465,35 @@ TEST(ResidentWorkers, DestructorReapsIdleWorkers) {
   }
 }
 
-TEST(ResidentWorkers, LegacyForkPerRoundBackendStaysSelectableAndIdentical) {
-  // MPCSPAN_RESIDENT=0 / EngineConfig::resident=0 keeps the fork-per-round
-  // dispatch (the bench_micro baseline) — bit-identical results, workers
-  // forked per round (no resident pids).
-  const Trace base = runMpcWorkload(1, 1);
-  auto runLegacy = [&](std::size_t shards) {
-    const std::size_t p = 16;
-    EngineConfig cfg{p, 1, shards};
-    cfg.resident = 0;
-    RoundEngine eng(cfg, std::make_unique<MpcTopology>(6 * p));
-    EXPECT_FALSE(eng.residentShards());
-    Trace trace;
-    std::uint64_t h = 42;
-    for (int round = 0; round < 8; ++round) {
-      std::vector<std::vector<Message>> out(p);
-      for (std::size_t src = 0; src < p; ++src)
-        for (std::size_t k = 0; k < 3; ++k) {
-          h = h * 6364136223846793005ULL + 1442695040888963407ULL;
-          const std::size_t dst = (src + 1 + (h >> 33) % (p - 1)) % p;
-          if (k == 0)
-            out[src].push_back({dst, {h}});
-          else
-            out[src].push_back({dst, {h, h ^ src, h >> 7}});
-        }
-      recordRound(trace, eng.exchange(std::move(out)));
-    }
-    finishTrace(trace, eng);
-    EXPECT_TRUE(eng.shardBackend()->workerPids().empty());
-    return trace;
-  };
-  EXPECT_EQ(base, runLegacy(4));
-
-  ASSERT_EQ(::setenv("MPCSPAN_RESIDENT", "0", 1), 0);
-  {
-    RoundEngine eng(EngineConfig{8, 1, 2}, std::make_unique<MpcTopology>(8));
-    EXPECT_FALSE(eng.residentShards());
-  }
-  ASSERT_EQ(::unsetenv("MPCSPAN_RESIDENT"), 0);
-  {
-    RoundEngine eng(EngineConfig{8, 1, 2}, std::make_unique<MpcTopology>(8));
-    EXPECT_TRUE(eng.residentShards());
-  }
-}
-
-TEST(ResidentWorkers, ClosureStepAndKernelRoundsInterleave) {
-  // The legacy closure step (fork-per-round compute wave) and kernel rounds
-  // share one logical inbox stream; interleaving them must match the
-  // in-process engine exactly.
+TEST(ResidentWorkers, ExchangeRoundsLeaveKernelInboxesAlone) {
+  // Coordinator-built exchange rounds return their deliveries without
+  // touching the machines' resident inboxes, exactly as in-process: kernel
+  // rounds interleaved with them see only their own previous deliveries.
   auto run = [](std::size_t shards) {
-    RoundEngine eng(EngineConfig{6, 1, shards, /*resident=*/1},
+    RoundEngine eng(EngineConfig{6, 1, shards},
                     std::make_unique<MpcTopology>(32));
     const KernelId k = eng.registerKernel(
         CounterKernel::kernelName(),
         [] { return std::make_unique<CounterKernel>(); });
-    eng.step(k);
-    eng.step(k);
-    // Closure step: forwards each machine's inbox sum to machine 0.
-    eng.step([](std::size_t m, const std::vector<Delivery>& inbox)
-                 -> std::vector<Message> {
-      Word sum = m;
-      for (const Delivery& d : inbox) sum += d.payload.front();
-      return {{0, {sum}}};
-    });
     std::vector<Word> flat;
-    for (const Delivery& d : eng.inbox(0)) {
-      flat.push_back(d.src);
-      flat.insert(flat.end(), d.payload.begin(), d.payload.end());
+    for (int r = 0; r < 3; ++r) {
+      eng.step(k);
+      std::vector<std::vector<Message>> out(6);
+      for (std::size_t m = 0; m < 6; ++m)
+        out[m].push_back({(m + 2) % 6, {m * 100 + static_cast<Word>(r)}});
+      for (const auto& inbox : eng.exchange(std::move(out)))
+        for (const Delivery& d : inbox) {
+          flat.push_back(d.src);
+          flat.insert(flat.end(), d.payload.begin(), d.payload.end());
+        }
     }
+    for (const auto& inbox : eng.snapshotInboxes())
+      for (const Delivery& d : inbox) {
+        flat.push_back(d.src);
+        flat.insert(flat.end(), d.payload.begin(), d.payload.end());
+      }
+    for (const auto& c : eng.fetchKernel(k))
+      flat.insert(flat.end(), c.begin(), c.end());
     flat.push_back(eng.rounds());
     flat.push_back(eng.totalWordsSent());
     return flat;

@@ -1,20 +1,27 @@
-// The shared-memory ring transport: resident STEP rounds over the shm
-// rings must be bit-identical to the socket mesh and the in-process
-// reference (rounds, ledger, kernel state, resident inbox contents) across
-// shard and thread counts on all three topologies; oversized frames chunk
-// through a tiny ring with backpressure instead of deadlocking; a peer
-// death mid-exchange surfaces ShardError for everyone and leaves no shm
-// object behind (the arena is unlinked at creation, so /dev/shm must stay
-// clean even while engines are alive); and a corrupt ring length prefix is
-// rejected as ShardError, never chased out of bounds.
+// The shared-memory ring transport: kernel rounds over the shm rings must
+// be bit-identical to the in-process engine (rounds, ledger, kernel state,
+// resident inbox contents) across shard and thread counts on all three
+// topologies; the transport resolves from config and env, and a host whose
+// shm arena cannot be created falls back to tcp with identical results;
+// oversized
+// frames chunk through a tiny ring with backpressure instead of
+// deadlocking; a peer death mid-exchange surfaces ShardError for everyone
+// and leaves no shm object behind (the arena is unlinked at creation, so
+// /dev/shm must stay clean even while engines are alive); and a corrupt
+// ring length prefix is rejected as ShardError, never chased out of
+// bounds.
 #include "runtime/shard/shm_ring.hpp"
 
 #include <gtest/gtest.h>
 
+#include <signal.h>
+#include <sys/resource.h>
 #include <sys/types.h>
 #include <sys/wait.h>
 
+#include <cerrno>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <memory>
 #include <mutex>
@@ -40,12 +47,11 @@ using runtime::PramTopology;
 using runtime::RoundEngine;
 using runtime::StepKernel;
 using runtime::Topology;
+using runtime::Transport;
 using runtime::shard::kMaxFrameBytes;
 using runtime::shard::mergeSectionRows;
-using runtime::shard::RingHdr;
 using runtime::shard::ShardError;
 using runtime::shard::ShmArena;
-using runtime::shard::ShmSendState;
 using runtime::shard::WireFd;
 using runtime::shard::WireReader;
 using runtime::shard::WireWriter;
@@ -140,11 +146,11 @@ Result observe(RoundEngine& eng, KernelId k) {
 }
 
 Result runWorkload(int mode, std::size_t threads, std::size_t shards,
-                   runtime::Transport transport) {
+                   Transport transport, Transport* resolved = nullptr) {
   const std::size_t n = 12;
-  EngineConfig cfg{n, threads, shards, /*resident=*/1, /*peerExchange=*/1,
-                   transport};
-  RoundEngine eng(cfg, makeTopology(mode));
+  RoundEngine eng(EngineConfig{n, threads, shards, transport},
+                  makeTopology(mode));
+  if (resolved) *resolved = eng.transport();
   const KernelId k = eng.registerKernel(
       ShmProbeKernel::kernelName(),
       [] { return std::make_unique<ShmProbeKernel>(); });
@@ -154,82 +160,109 @@ Result runWorkload(int mode, std::size_t threads, std::size_t shards,
   return observe(eng, k);
 }
 
-TEST(ShmExchange, BitIdenticalToSocketMeshAndInProcessOnAllTopologies) {
+TEST(ShmExchange, BitIdenticalToInProcessOnAllTopologies) {
   for (const int mode : {0, 1, 2}) {
-    const Result base = runWorkload(mode, 1, 1, runtime::Transport::kDefault);
+    const Result base = runWorkload(mode, 1, 1, Transport::kDefault);
     EXPECT_EQ(base.rounds, 5u) << "mode " << mode;
     for (const std::size_t shards : {2u, 4u})
-      for (const std::size_t threads : {1u, 2u}) {
-        EXPECT_EQ(base,
-                  runWorkload(mode, threads, shards,
-                              runtime::Transport::kShmRing))
+      for (const std::size_t threads : {1u, 2u})
+        EXPECT_EQ(base, runWorkload(mode, threads, shards, Transport::kShmRing))
             << "mode " << mode << ", " << shards << " shards x " << threads
-            << " threads, shm";
-        EXPECT_EQ(base,
-                  runWorkload(mode, threads, shards,
-                              runtime::Transport::kSocketMesh))
-            << "mode " << mode << ", " << shards << " shards x " << threads
-            << " threads, socket";
-      }
+            << " threads";
+    EXPECT_EQ(base, runWorkload(mode, 1, 3, Transport::kShmRing))
+        << "mode " << mode << ", 3 shards (uneven split)";
   }
   EXPECT_TRUE(shmDirClean());
 }
 
-TEST(ShmExchange, BackendSelectionFollowsConfigAndEnv) {
-  // This test exercises the kDefault resolution chain, so neutralize an
-  // outer MPCSPAN_TCP_EXCHANGE (the CI tcp leg sets it process-wide) and
-  // restore it afterwards for the remaining tests in this binary.
+TEST(ShmExchange, TransportSelectionFollowsConfigAndEnv) {
+  // This test exercises the kDefault resolution, so neutralize an outer
+  // MPCSPAN_TCP_EXCHANGE (the CI tcp leg sets it process-wide) and restore
+  // it afterwards for the remaining tests in this binary.
   const char* tcpEnv = std::getenv("MPCSPAN_TCP_EXCHANGE");
   const std::string tcpSaved = tcpEnv ? tcpEnv : "";
   if (tcpEnv) {
     ASSERT_EQ(::unsetenv("MPCSPAN_TCP_EXCHANGE"), 0);
   }
   {
-    RoundEngine eng(EngineConfig{8, 1, 2, 1, 1, runtime::Transport::kShmRing},
+    RoundEngine eng(EngineConfig{8, 1, 2, Transport::kShmRing},
                     std::make_unique<MpcTopology>(16));
-    EXPECT_TRUE(eng.peerMeshShards());
-    EXPECT_TRUE(eng.shmRingShards());
+    EXPECT_EQ(eng.transport(), Transport::kShmRing);
     // Alive engine, clean /dev/shm: the arena object is already unlinked.
     EXPECT_TRUE(shmDirClean());
   }
   {
-    RoundEngine eng(
-        EngineConfig{8, 1, 2, 1, 1, runtime::Transport::kSocketMesh},
-        std::make_unique<MpcTopology>(16));
-    EXPECT_TRUE(eng.peerMeshShards());
-    EXPECT_FALSE(eng.shmRingShards());
-  }
-  {
-    // peerExchange=0 forces the relay; no mesh, no rings.
-    RoundEngine eng(EngineConfig{8, 1, 2, 1, 0},
+    RoundEngine eng(EngineConfig{8, 1, 2, Transport::kTcp},
                     std::make_unique<MpcTopology>(16));
-    EXPECT_FALSE(eng.peerMeshShards());
-    EXPECT_FALSE(eng.shmRingShards());
+    EXPECT_EQ(eng.transport(), Transport::kTcp);
   }
-  ASSERT_EQ(::setenv("MPCSPAN_SHM_EXCHANGE", "0", 1), 0);
   {
     RoundEngine eng(EngineConfig{8, 1, 2}, std::make_unique<MpcTopology>(16));
-    EXPECT_TRUE(eng.peerMeshShards());
-    EXPECT_FALSE(eng.shmRingShards());
+    EXPECT_EQ(eng.transport(), Transport::kShmRing);
   }
-  ASSERT_EQ(::unsetenv("MPCSPAN_SHM_EXCHANGE"), 0);
   {
-    RoundEngine eng(EngineConfig{8, 1, 2}, std::make_unique<MpcTopology>(16));
-    EXPECT_TRUE(eng.shmRingShards());
-    EXPECT_FALSE(eng.tcpMeshShards());
+    // In-process: no shard transport at all.
+    RoundEngine eng(EngineConfig{8, 1, 1}, std::make_unique<MpcTopology>(16));
+    EXPECT_EQ(eng.transport(), Transport::kDefault);
   }
-  // MPCSPAN_TCP_EXCHANGE=1 outranks the shm/socket default resolution.
+  // MPCSPAN_TCP_EXCHANGE=1 switches the default; an explicit value wins.
   ASSERT_EQ(::setenv("MPCSPAN_TCP_EXCHANGE", "1", 1), 0);
   {
     RoundEngine eng(EngineConfig{8, 1, 2}, std::make_unique<MpcTopology>(16));
-    EXPECT_TRUE(eng.peerMeshShards());
-    EXPECT_TRUE(eng.tcpMeshShards());
-    EXPECT_FALSE(eng.shmRingShards());
+    EXPECT_EQ(eng.transport(), Transport::kTcp);
+  }
+  {
+    RoundEngine eng(EngineConfig{8, 1, 2, Transport::kShmRing},
+                    std::make_unique<MpcTopology>(16));
+    EXPECT_EQ(eng.transport(), Transport::kShmRing);
   }
   ASSERT_EQ(::unsetenv("MPCSPAN_TCP_EXCHANGE"), 0);
   if (!tcpSaved.empty()) {
     ASSERT_EQ(::setenv("MPCSPAN_TCP_EXCHANGE", tcpSaved.c_str(), 1), 0);
   }
+}
+
+TEST(ShmExchange, UnavailableArenaFallsBackToTcpBitIdentically) {
+  // A file-size limit below the arena size makes ShmArena's ftruncate fail
+  // with EFBIG (SIGXFSZ ignored) — the same outcome as a host without
+  // usable POSIX shm. The limit is set in a forked child so it never
+  // reaches the rest of the suite; the child reports through its exit
+  // status.
+  const Result base = runWorkload(0, 1, 1, Transport::kDefault);
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    int code = 0;
+    try {
+      ::unsetenv("MPCSPAN_TCP_EXCHANGE");  // exercise the default transport
+      ::signal(SIGXFSZ, SIG_IGN);
+      const rlimit lim{4096, 4096};
+      if (::setrlimit(RLIMIT_FSIZE, &lim) != 0) std::_Exit(10);
+      bool arenaFailed = false;
+      try {
+        ShmArena probe(2);
+      } catch (const ShardError&) {
+        arenaFailed = true;
+      }
+      if (!arenaFailed) std::_Exit(11);  // the fault did not take effect
+      Transport resolved = Transport::kDefault;
+      const Result got = runWorkload(0, 1, 2, Transport::kDefault, &resolved);
+      if (resolved != Transport::kTcp)
+        code = 12;
+      else if (!(got == base))
+        code = 13;
+    } catch (...) {
+      code = 14;
+    }
+    std::_Exit(code);
+  }
+  int st = 0;
+  while (::waitpid(pid, &st, 0) < 0 && errno == EINTR) {
+  }
+  ASSERT_TRUE(WIFEXITED(st));
+  EXPECT_EQ(WEXITSTATUS(st), 0)
+      << "10 setrlimit failed, 11 arena did not fail, 12 engine did not "
+         "report tcp, 13 results differ from in-process, 14 exception";
 }
 
 /// Emits one ~1.6 MB payload per machine per round — hundreds of ring
@@ -266,10 +299,10 @@ class BigFrameKernel final : public StepKernel {
   std::vector<Word> seen_;
 };
 
-Result runBigFrames(std::size_t shards, runtime::Transport transport) {
+Result runBigFrames(std::size_t shards, Transport transport) {
   const std::size_t n = 4;
-  EngineConfig cfg{n, 1, shards, 1, 1, transport};
-  RoundEngine eng(cfg, std::make_unique<MpcTopology>(BigFrameKernel::kWords));
+  RoundEngine eng(EngineConfig{n, 1, shards, transport},
+                  std::make_unique<MpcTopology>(BigFrameKernel::kWords));
   const KernelId k = eng.registerKernel(
       "test.bigframe", [] { return std::make_unique<BigFrameKernel>(); });
   eng.step(k);
@@ -279,13 +312,10 @@ Result runBigFrames(std::size_t shards, runtime::Transport transport) {
 
 TEST(ShmExchange, OversizedFramesChunkThroughTinyRingWithBackpressure) {
   ASSERT_EQ(::setenv("MPCSPAN_SHM_RING_BYTES", "4096", 1), 0);
-  const Result base = runBigFrames(1, runtime::Transport::kDefault);
-  for (const std::size_t shards : {2u, 4u}) {
-    EXPECT_EQ(base, runBigFrames(shards, runtime::Transport::kShmRing))
+  const Result base = runBigFrames(1, Transport::kDefault);
+  for (const std::size_t shards : {2u, 4u})
+    EXPECT_EQ(base, runBigFrames(shards, Transport::kShmRing))
         << shards << " shards, shm, 4 KiB ring";
-    EXPECT_EQ(base, runBigFrames(shards, runtime::Transport::kSocketMesh))
-        << shards << " shards, socket";
-  }
   ASSERT_EQ(::unsetenv("MPCSPAN_SHM_RING_BYTES"), 0);
   EXPECT_TRUE(shmDirClean());
 }
@@ -300,9 +330,8 @@ TEST(ShmExchange, PeerDeathMidExchangeSurfacesShardErrorForAll) {
   ASSERT_EQ(::setenv("MPCSPAN_TEST_PEER_DIE_SHARD", "1", 1), 0);
   std::vector<pid_t> pids;
   {
-    RoundEngine eng(
-        EngineConfig{8, 1, 4, 1, 1, runtime::Transport::kShmRing},
-        std::make_unique<MpcTopology>(32));
+    RoundEngine eng(EngineConfig{8, 1, 4, Transport::kShmRing},
+                    std::make_unique<MpcTopology>(32));
     const KernelId k = eng.registerKernel(
         ShmProbeKernel::kernelName(),
         [] { return std::make_unique<ShmProbeKernel>(); });
@@ -363,7 +392,7 @@ TEST(ShmRing, DirectExchangeRoundTripContiguousAndChunked) {
         ASSERT_EQ(count, 1u);
         mergeSectionRows(frames[1 - self], count, 1 - self, 2 - self, self,
                          self + 1, got[self]);
-        arena.releaseInbound();
+        arena.releaseInbound(self);
       } catch (...) {
         errors[self] = std::current_exception();
       }
@@ -376,54 +405,6 @@ TEST(ShmRing, DirectExchangeRoundTripContiguousAndChunked) {
   EXPECT_EQ(got[1][0][0].payload, small);
   ASSERT_EQ(got[0][1].size(), 1u);
   EXPECT_EQ(got[0][1][0].payload, big);
-}
-
-TEST(ShmRing, AbortRewindsProducedAndTheRingStaysUsable) {
-  constexpr std::size_t kRing = 4096;
-  ShmArena arena(2, kRing);
-  auto mesh = runtime::shard::makeMesh(2);
-  const std::vector<Word> pay{7, 8, 9};
-  std::vector<WireWriter> sections(2);
-  std::vector<std::uint64_t> counts(2, 0);
-  fillSection(sections, counts, 1, 0, 1, pay);
-
-  RingHdr& h = arena.hdr(0, 1);
-  ASSERT_EQ(h.produced.load(), 0u);
-  ShmSendState st =
-      runtime::shard::beginShmSend(arena, 0, counts, sections, mesh[0]);
-  EXPECT_GT(h.produced.load(), 0u);  // the frame was pre-written
-  runtime::shard::abortShmSend(st);
-  EXPECT_EQ(h.produced.load(), 0u);  // ...and rewound without a trace
-
-  // The rewound ring carries the next (differently-sized) round cleanly.
-  const std::vector<Word> pay2{42};
-  std::vector<std::vector<std::vector<Message>>> got(
-      2, std::vector<std::vector<Message>>(2));
-  std::vector<std::exception_ptr> errors(2);
-  std::vector<std::thread> threads;
-  for (std::size_t self = 0; self < 2; ++self) {
-    threads.emplace_back([&, self] {
-      try {
-        std::vector<WireWriter> s2(2);
-        std::vector<std::uint64_t> c2(2, 0);
-        fillSection(s2, c2, 1 - self, self, 1 - self, pay2);
-        auto frames =
-            runtime::shard::shmExchange(arena, mesh[self], self, c2, s2);
-        const std::uint64_t count = frames[1 - self].u64();
-        ASSERT_EQ(count, 1u);
-        mergeSectionRows(frames[1 - self], count, 1 - self, 2 - self, self,
-                         self + 1, got[self]);
-        arena.releaseInbound();
-      } catch (...) {
-        errors[self] = std::current_exception();
-      }
-    });
-  }
-  for (std::thread& th : threads) th.join();
-  for (std::size_t self = 0; self < 2; ++self)
-    if (errors[self]) std::rethrow_exception(errors[self]);
-  EXPECT_EQ(got[0][1][0].payload, pay2);
-  EXPECT_EQ(got[1][0][0].payload, pay2);
 }
 
 TEST(ShmRing, CorruptLengthPrefixRejectedAsShardError) {

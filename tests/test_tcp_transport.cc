@@ -1,7 +1,7 @@
-// The TCP shard transport: resident STEP rounds over a rendezvous-formed
-// loopback mesh must be bit-identical to the shm ring, the socket mesh, and
-// the in-process reference (rounds, ledger, kernel state, resident inbox
-// contents) across shard and thread counts on all three topologies;
+// The TCP shard transport: kernel rounds over a rendezvous-formed loopback
+// mesh must be bit-identical to the in-process reference (rounds, ledger,
+// kernel state, resident inbox contents) across shard and thread counts on
+// all three topologies;
 // oversized ~1.6 MB frames stream through the poll-paced channels; and
 // every failure mode of a real network — refused dial, accept timeout, a
 // stray client speaking garbage, a mesh dial from a stale epoch, a peer
@@ -40,6 +40,7 @@ using runtime::PramTopology;
 using runtime::RoundEngine;
 using runtime::StepKernel;
 using runtime::Topology;
+using runtime::Transport;
 using runtime::shard::Channel;
 using runtime::shard::formTcpMesh;
 using runtime::shard::readControlHello;
@@ -127,11 +128,10 @@ Result observe(RoundEngine& eng, KernelId k) {
 }
 
 Result runWorkload(int mode, std::size_t threads, std::size_t shards,
-                   runtime::Transport transport) {
+                   Transport transport) {
   const std::size_t n = 12;
-  EngineConfig cfg{n, threads, shards, /*resident=*/1, /*peerExchange=*/1,
-                   transport};
-  RoundEngine eng(cfg, makeTopology(mode));
+  RoundEngine eng(EngineConfig{n, threads, shards, transport},
+                  makeTopology(mode));
   const KernelId k = eng.registerKernel(
       TcpProbeKernel::kernelName(),
       [] { return std::make_unique<TcpProbeKernel>(); });
@@ -141,33 +141,16 @@ Result runWorkload(int mode, std::size_t threads, std::size_t shards,
   return observe(eng, k);
 }
 
-TEST(TcpTransport, BitIdenticalToShmSocketAndInProcessOnAllTopologies) {
+TEST(TcpTransport, BitIdenticalToInProcessOnAllTopologies) {
   for (const int mode : {0, 1, 2}) {
-    const Result base = runWorkload(mode, 1, 1, runtime::Transport::kDefault);
+    const Result base = runWorkload(mode, 1, 1, Transport::kDefault);
     EXPECT_EQ(base.rounds, 5u) << "mode " << mode;
     for (const std::size_t shards : {2u, 4u})
-      for (const std::size_t threads : {1u, 2u}) {
-        EXPECT_EQ(base,
-                  runWorkload(mode, threads, shards, runtime::Transport::kTcp))
+      for (const std::size_t threads : {1u, 2u})
+        EXPECT_EQ(base, runWorkload(mode, threads, shards, Transport::kTcp))
             << "mode " << mode << ", " << shards << " shards x " << threads
-            << " threads, tcp";
-      }
-    // The cross-transport triangle at one representative size: tcp == shm
-    // == socket == in-process.
-    EXPECT_EQ(base, runWorkload(mode, 2, 4, runtime::Transport::kShmRing))
-        << "mode " << mode << " shm";
-    EXPECT_EQ(base, runWorkload(mode, 2, 4, runtime::Transport::kSocketMesh))
-        << "mode " << mode << " socket";
+            << " threads";
   }
-}
-
-TEST(TcpTransport, BackendSelectionReportsTcp) {
-  RoundEngine eng(EngineConfig{8, 1, 2, 1, 1, runtime::Transport::kTcp},
-                  std::make_unique<MpcTopology>(16));
-  EXPECT_TRUE(eng.residentShards());
-  EXPECT_TRUE(eng.peerMeshShards());
-  EXPECT_TRUE(eng.tcpMeshShards());
-  EXPECT_FALSE(eng.shmRingShards());
 }
 
 /// Emits one ~1.6 MB payload per machine per round: thousands of loopback
@@ -204,10 +187,10 @@ class BigFrameKernel final : public StepKernel {
   std::vector<Word> seen_;
 };
 
-Result runBigFrames(std::size_t shards, runtime::Transport transport) {
+Result runBigFrames(std::size_t shards, Transport transport) {
   const std::size_t n = 4;
-  EngineConfig cfg{n, 1, shards, 1, 1, transport};
-  RoundEngine eng(cfg, std::make_unique<MpcTopology>(BigFrameKernel::kWords));
+  RoundEngine eng(EngineConfig{n, 1, shards, transport},
+                  std::make_unique<MpcTopology>(BigFrameKernel::kWords));
   const KernelId k = eng.registerKernel(
       "test.bigframe", [] { return std::make_unique<BigFrameKernel>(); });
   eng.step(k);
@@ -216,9 +199,9 @@ Result runBigFrames(std::size_t shards, runtime::Transport transport) {
 }
 
 TEST(TcpTransport, BigFramesStreamOverLoopback) {
-  const Result base = runBigFrames(1, runtime::Transport::kDefault);
+  const Result base = runBigFrames(1, Transport::kDefault);
   for (const std::size_t shards : {2u, 4u})
-    EXPECT_EQ(base, runBigFrames(shards, runtime::Transport::kTcp))
+    EXPECT_EQ(base, runBigFrames(shards, Transport::kTcp))
         << shards << " shards, tcp, 1.6 MB frames";
 }
 
@@ -284,13 +267,13 @@ TEST(TcpTransport, StaleEpochMeshDialRejectedBothSides) {
 
 TEST(TcpTransport, PeerDeathMidExchangeSurfacesShardErrorForAll) {
   // The injected fault (MPCSPAN_TEST_PEER_DIE_SHARD, read in the worker
-  // loop) kills shard 1 right after the phase-A go — mid mesh exchange
+  // loop) kills shard 1 right before its STEP report — mid mesh exchange
   // from every peer's point of view. The engine must fail loudly within
   // the tcp deadline (not hang), stay failed, and reap every worker.
   ASSERT_EQ(::setenv("MPCSPAN_TEST_PEER_DIE_SHARD", "1", 1), 0);
   std::vector<pid_t> pids;
   {
-    RoundEngine eng(EngineConfig{8, 1, 4, 1, 1, runtime::Transport::kTcp},
+    RoundEngine eng(EngineConfig{8, 1, 4, Transport::kTcp},
                     std::make_unique<MpcTopology>(32));
     const KernelId k = eng.registerKernel(
         TcpProbeKernel::kernelName(),
@@ -312,24 +295,31 @@ TEST(TcpTransport, PeerDeathMidExchangeSurfacesShardErrorForAll) {
   }
 }
 
-TEST(TcpTransport, ClosureStepsAndBlocksRideTheTcpBackend) {
-  // The non-kernel surfaces — closure exchange rounds and worker-resident
-  // blocks — must behave identically over the tcp backend.
-  RoundEngine tcp(EngineConfig{6, 1, 3, 1, 1, runtime::Transport::kTcp},
+TEST(TcpTransport, ExchangeRoundsAndBlocksRideTheTcpBackend) {
+  // The non-kernel surfaces — coordinator-built exchange rounds and
+  // worker-resident blocks — must behave identically over the tcp backend.
+  RoundEngine tcp(EngineConfig{6, 1, 3, Transport::kTcp},
                   std::make_unique<MpcTopology>(64));
   RoundEngine ref(EngineConfig{6, 1, 1},
                   std::make_unique<MpcTopology>(64));
-  for (RoundEngine* eng : {&tcp, &ref}) {
+  std::vector<std::vector<Word>> flat(2);
+  for (int e = 0; e < 2; ++e) {
+    RoundEngine* eng = e == 0 ? &tcp : &ref;
     std::vector<std::vector<Word>> per(6);
     for (std::size_t m = 0; m < 6; ++m) per[m] = {m * 10 + 1, m * 10 + 2};
     const std::uint64_t h = eng->createBlocks(per);
     std::vector<std::vector<Message>> out(6);
     for (std::size_t m = 0; m < 6; ++m)
       out[m].push_back({(m + 1) % 6, {m, m ^ 7}});
-    eng->exchange(std::move(out));
+    for (const auto& inbox : eng->exchange(std::move(out)))
+      for (const Delivery& d : inbox) {
+        flat[e].push_back(d.src);
+        flat[e].insert(flat[e].end(), d.payload.begin(), d.payload.end());
+      }
     EXPECT_EQ(eng->readBlocks(h), per);
     eng->freeBlocks(h);
   }
+  EXPECT_EQ(flat[0], flat[1]);
   EXPECT_EQ(tcp.rounds(), ref.rounds());
   EXPECT_EQ(tcp.totalWordsSent(), ref.totalWordsSent());
 }

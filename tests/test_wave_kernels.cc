@@ -2,10 +2,9 @@
 // kernels (growth find-min supersteps, clique label round, PRAM LeaderForest
 // CRCW writes): for each wave, the same multi-iteration workload must be
 // bit-identical — results, rounds, traffic ledger, and (where observable)
-// kernel-owned state — across 1/N shards × 1/N threads, on the resident
-// worker backend and on the legacy fork-per-round reference
-// (MPCSPAN_RESIDENT=0 / EngineConfig::resident = 0), with the resident
-// workers forking exactly once across all iterations. Extends the
+// kernel-owned state — across 1/N shards × 1/N threads, on both shard
+// transports (shm ring, loopback tcp), with the resident workers forking
+// exactly once across all iterations. Extends the
 // test_sharded_engine / test_mpc_primitives pattern to the three waves.
 #include <gtest/gtest.h>
 
@@ -28,6 +27,7 @@ namespace {
 using runtime::EngineConfig;
 using runtime::PramTopology;
 using runtime::RoundEngine;
+using runtime::Transport;
 
 std::vector<VertexId> identity(std::size_t n) {
   std::vector<VertexId> v(n);
@@ -51,7 +51,8 @@ struct WaveTrace {
 /// the kernel instances (sort splitters, segmented-min reductions, the
 /// filter/scatter chain) must carry their per-machine state across
 /// iterations identically on every backend.
-WaveTrace runGrowthWave(std::size_t threads, std::size_t shards, int resident,
+WaveTrace runGrowthWave(std::size_t threads, std::size_t shards,
+                        Transport transport = Transport::kShmRing,
                         std::vector<pid_t>* pidsOut = nullptr) {
   Rng rng(99);
   const Graph g = gnmRandom(300, 1500, rng, {WeightModel::kUniform, 15.0}, true);
@@ -61,7 +62,7 @@ WaveTrace runGrowthWave(std::size_t threads, std::size_t shards, int resident,
   std::vector<char> alive(g.numEdges(), 1);
 
   MpcSimulator sim(MpcConfig::forInput(4 * g.numEdges(), 0.6, 3.0), threads,
-                   shards, resident);
+                   shards, transport);
   WaveTrace trace;
   for (int iter = 0; iter < 3; ++iter) {
     const std::vector<char> sampled = HashCoinPolicy::draw(
@@ -92,22 +93,25 @@ WaveTrace runGrowthWave(std::size_t threads, std::size_t shards, int resident,
 }
 
 TEST(WaveKernels, GrowthBitIdenticalAcrossShardsThreadsAndBackends) {
-  const WaveTrace base = runGrowthWave(1, 1, /*resident=*/1);
+  const WaveTrace base = runGrowthWave(1, 1);
   ASSERT_FALSE(base.groupMins.empty());
   ASSERT_GT(base.rounds, 0u);
   std::vector<pid_t> pids;
-  EXPECT_EQ(base, runGrowthWave(1, 2, 1, &pids)) << "2 shards resident";
+  EXPECT_EQ(base, runGrowthWave(1, 2, Transport::kShmRing, &pids))
+      << "2 shards shm";
   EXPECT_EQ(pids.size(), 2u);
-  EXPECT_EQ(base, runGrowthWave(2, 3, 1)) << "3 shards x 2 threads resident";
-  EXPECT_EQ(base, runGrowthWave(1, 2, 0)) << "2 shards fork-per-round";
-  EXPECT_EQ(base, runGrowthWave(2, 4, 0)) << "4 shards x 2 threads fork-per-round";
+  EXPECT_EQ(base, runGrowthWave(2, 3)) << "3 shards x 2 threads shm";
+  EXPECT_EQ(base, runGrowthWave(1, 2, Transport::kTcp)) << "2 shards tcp";
+  EXPECT_EQ(base, runGrowthWave(2, 4, Transport::kTcp))
+      << "4 shards x 2 threads tcp";
 }
 
 /// Two clique iterations (different sampled draws) on one clique — the
 /// label round, candidate derivation, and Lenzen accounting must match on
 /// every backend, with the kernel's candidate state cleanly rebuilt per
 /// iteration.
-WaveTrace runCliqueWave(std::size_t threads, std::size_t shards, int resident,
+WaveTrace runCliqueWave(std::size_t threads, std::size_t shards,
+                        Transport transport = Transport::kShmRing,
                         std::vector<pid_t>* pidsOut = nullptr) {
   Rng rng(7);
   const Graph g = gnmRandom(60, 260, rng, {WeightModel::kUniform, 9.0}, true);
@@ -115,7 +119,7 @@ WaveTrace runCliqueWave(std::size_t threads, std::size_t shards, int resident,
   std::vector<char> alive(g.numEdges(), 1);
   for (EdgeId id = 0; id < g.numEdges(); id += 5) alive[id] = 0;
 
-  CongestedClique cc(n, threads, shards, resident);
+  CongestedClique cc(n, threads, shards, transport);
   WaveTrace trace;
   for (int iter = 0; iter < 3; ++iter) {
     const std::vector<char> sampled = HashCoinPolicy::draw(
@@ -145,14 +149,15 @@ WaveTrace runCliqueWave(std::size_t threads, std::size_t shards, int resident,
 }
 
 TEST(WaveKernels, CliqueLabelRoundBitIdenticalAcrossShardsAndBackends) {
-  const WaveTrace base = runCliqueWave(1, 1, /*resident=*/1);
+  const WaveTrace base = runCliqueWave(1, 1);
   ASSERT_GT(base.rounds, 0u);
   ASSERT_GT(base.words, 0u);
   std::vector<pid_t> pids;
-  EXPECT_EQ(base, runCliqueWave(1, 3, 1, &pids)) << "3 shards resident";
+  EXPECT_EQ(base, runCliqueWave(1, 3, Transport::kShmRing, &pids))
+      << "3 shards shm";
   EXPECT_EQ(pids.size(), 3u);
-  EXPECT_EQ(base, runCliqueWave(2, 4, 1)) << "4 shards x 2 threads resident";
-  EXPECT_EQ(base, runCliqueWave(1, 3, 0)) << "3 shards fork-per-round";
+  EXPECT_EQ(base, runCliqueWave(2, 4)) << "4 shards x 2 threads shm";
+  EXPECT_EQ(base, runCliqueWave(1, 3, Transport::kTcp)) << "3 shards tcp";
 }
 
 /// A merge schedule on an engine-backed LeaderForest: host mirror, kernel
@@ -166,10 +171,11 @@ struct ForestTrace {
   friend bool operator==(const ForestTrace&, const ForestTrace&) = default;
 };
 
-ForestTrace runForestWave(std::size_t threads, std::size_t shards, int resident,
+ForestTrace runForestWave(std::size_t threads, std::size_t shards,
+                          Transport transport = Transport::kShmRing,
                           std::vector<pid_t>* pidsOut = nullptr) {
   const std::size_t n = 32;
-  RoundEngine eng(EngineConfig{n, threads, shards, resident},
+  RoundEngine eng(EngineConfig{n, threads, shards, transport},
                   std::make_unique<PramTopology>());
   LeaderForest lf(n);
   lf.attachEngine(&eng);
@@ -203,13 +209,14 @@ ForestTrace runForestWave(std::size_t threads, std::size_t shards, int resident,
 }
 
 TEST(WaveKernels, LeaderForestWritesBitIdenticalAcrossShardsAndBackends) {
-  const ForestTrace base = runForestWave(1, 1, /*resident=*/1);
+  const ForestTrace base = runForestWave(1, 1);
   ASSERT_GT(base.rounds, 0u);
   std::vector<pid_t> pids;
-  EXPECT_EQ(base, runForestWave(1, 4, 1, &pids)) << "4 shards resident";
+  EXPECT_EQ(base, runForestWave(1, 4, Transport::kShmRing, &pids))
+      << "4 shards shm";
   EXPECT_EQ(pids.size(), 4u);
-  EXPECT_EQ(base, runForestWave(2, 2, 1)) << "2 shards x 2 threads resident";
-  EXPECT_EQ(base, runForestWave(1, 4, 0)) << "4 shards fork-per-round";
+  EXPECT_EQ(base, runForestWave(2, 2)) << "2 shards x 2 threads shm";
+  EXPECT_EQ(base, runForestWave(1, 4, Transport::kTcp)) << "4 shards tcp";
 }
 
 }  // namespace

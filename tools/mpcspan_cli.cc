@@ -71,7 +71,7 @@ Graph loadGraphFile(const std::string& path, const std::string& format) {
 Graph loadGraph(const ArgParser& args) {
   if (args.has("input"))
     return loadGraphFile(args.get("input"), args.get("format"));
-  const auto n = static_cast<std::size_t>(args.getInt("n"));
+  const auto n = args.getCount("n");
   const double deg = args.getDouble("deg");
   WeightSpec weights;
   const std::string wm = args.get("weights");
@@ -94,8 +94,8 @@ Graph loadGraph(const ArgParser& args) {
 }
 
 SpannerResult runAlgorithm(const ArgParser& args, const Graph& g) {
-  const auto k = static_cast<std::uint32_t>(args.getInt("k"));
-  const auto t = static_cast<std::uint32_t>(args.getInt("t"));
+  const auto k = static_cast<std::uint32_t>(args.getCount("k"));
+  const auto t = static_cast<std::uint32_t>(args.getCount("t"));
   const auto seed = static_cast<std::uint64_t>(args.getInt("seed"));
   const std::string algo = args.get("algo");
   if (algo == "baswana-sen") return buildBaswanaSen(g, {.k = k, .seed = seed});
@@ -163,17 +163,14 @@ int runBuildOracle(int argc, const char* const* argv) {
 
     query::BuildPlan plan;
     plan.algo = args.get("algo");
-    plan.k = static_cast<std::uint32_t>(args.getInt("k"));
-    plan.t = static_cast<std::uint32_t>(args.getInt("t"));
+    plan.k = static_cast<std::uint32_t>(args.getCount("k"));
+    plan.t = static_cast<std::uint32_t>(args.getCount("t"));
     plan.seed = static_cast<std::uint64_t>(args.getInt("seed"));
-    plan.sketchK = static_cast<std::uint32_t>(args.getInt("sketch-k"));
+    plan.sketchK = static_cast<std::uint32_t>(args.getCount("sketch-k"));
     plan.sketchSeed = static_cast<std::uint64_t>(args.getInt("sketch-seed"));
-    plan.cacheSources = static_cast<std::size_t>(
-        std::max<std::int64_t>(1, args.getInt("cache")));
-    plan.threads = static_cast<std::size_t>(
-        std::max<std::int64_t>(0, args.getInt("threads")));
-    plan.shards = static_cast<std::size_t>(
-        std::max<std::int64_t>(0, args.getInt("shards")));
+    plan.cacheSources = std::max<std::size_t>(1, args.getCount("cache"));
+    plan.threads = args.getCount("threads");
+    plan.shards = args.getCount("shards");
     plan.gamma = args.getDouble("gamma");
 
     const auto t0 = std::chrono::steady_clock::now();
@@ -269,8 +266,8 @@ int runQueryConnected(const ArgParser& args) {
   if (args.has("u") || args.has("v")) {
     if (!(args.has("u") && args.has("v")))
       throw std::invalid_argument("--u and --v must be given together");
-    const auto u = static_cast<VertexId>(args.getInt("u"));
-    const auto v = static_cast<VertexId>(args.getInt("v"));
+    const auto u = static_cast<VertexId>(args.getCount("u"));
+    const auto v = static_cast<VertexId>(args.getCount("v"));
     const serve::WireAnswer ans = client.query(u, v, deadlineMs);
     std::fprintf(stdout,
                  "d(%u, %u) <= %.6g (tier %lld, stretch <= %.1f%s, "
@@ -283,8 +280,7 @@ int runQueryConnected(const ArgParser& args) {
 
   const serve::HelloInfo info = client.serverInfo();
   if (info.numVertices == 0) throw std::runtime_error("server graph is empty");
-  const auto q = static_cast<std::size_t>(
-      std::max<std::int64_t>(1, args.getInt("queries")));
+  const auto q = std::max<std::size_t>(1, args.getCount("queries"));
   Rng qrng(static_cast<std::uint64_t>(args.getInt("seed")));
   std::size_t degraded = 0;
   const auto t0 = std::chrono::steady_clock::now();
@@ -358,8 +354,7 @@ int runQuery(int argc, const char* const* argv) {
     opt.spannerCachedOnly = args.getBool("cached-only");
     query::QueryPlane plane = query::makeQueryPlane(a, opt);
 
-    const auto clientThreads = static_cast<std::size_t>(
-        std::max<std::int64_t>(1, args.getInt("threads")));
+    const auto clientThreads = std::max<std::size_t>(1, args.getCount("threads"));
     runtime::ThreadPool pool(clientThreads);
 
     std::int64_t warmN = args.getInt("warm");
@@ -378,8 +373,8 @@ int runQuery(int argc, const char* const* argv) {
     if (args.has("u") || args.has("v")) {
       if (!(args.has("u") && args.has("v")))
         throw std::invalid_argument("--u and --v must be given together");
-      const auto u = static_cast<VertexId>(args.getInt("u"));
-      const auto v = static_cast<VertexId>(args.getInt("v"));
+      const auto u = static_cast<VertexId>(args.getCount("u"));
+      const auto v = static_cast<VertexId>(args.getCount("v"));
       if (u >= n || v >= n)
         throw std::invalid_argument("--u/--v out of range [0, n)");
       const Weight est = plane.tiered->query(u, v);
@@ -388,8 +383,7 @@ int runQuery(int argc, const char* const* argv) {
       return 0;
     }
 
-    const auto q = static_cast<std::size_t>(
-        std::max<std::int64_t>(1, args.getInt("queries")));
+    const auto q = std::max<std::size_t>(1, args.getCount("queries"));
     Rng qrng(static_cast<std::uint64_t>(args.getInt("seed")));
     std::vector<query::QueryPair> pairs(q);
     for (auto& p : pairs)
@@ -475,18 +469,12 @@ int main(int argc, char** argv) {
       .flag("gamma", "0.5", "machine-memory exponent (round conversion; unweighted-fast)")
       .flag("threads", "0", "stepping-pool lanes (0 = MPCSPAN_THREADS/hardware)")
       .flag("shards", "0",
-            "simulator worker processes (0 = MPCSPAN_SHARDS, 1 = in-process; "
-            ">1 forks resident workers, MPCSPAN_RESIDENT=0 for fork-per-round, "
-            "MPCSPAN_PEER_EXCHANGE=0 for the coordinator-relay exchange)")
+            "simulator worker processes (0 = MPCSPAN_SHARDS, 1 = in-process, "
+            ">1 forks resident shard workers)")
       .flag("transport", "",
-            "cross-shard section route: shm (shared-memory rings, default), "
-            "socket (PR-5 socket mesh), tcp (rendezvous mesh, cross-machine "
-            "capable), relay (coordinator relay); empty = MPCSPAN_TCP_EXCHANGE "
-            "/ MPCSPAN_SHM_EXCHANGE / MPCSPAN_PEER_EXCHANGE defaults")
-      .flag("pipeline", "",
-            "pipelined resident rounds: on (overlap cross-shard delivery "
-            "with the next round's local phase, the default), off (strict "
-            "barrier, the bit-identical reference); empty = MPCSPAN_PIPELINE")
+            "cross-shard transport: shm (shared-memory rings, same host) or "
+            "tcp (rendezvous mesh, cross-machine capable); empty = tcp under "
+            "MPCSPAN_TCP_EXCHANGE=1, else shm")
       .flag("seed", "1", "random seed")
       .flag("verify", "false", "audit stretch (sampled) before exiting")
       .flag("out", "", "write the spanner as an edge list to this path");
@@ -507,57 +495,29 @@ int main(int argc, char** argv) {
 
     const std::string algo = args.get("algo");
     if (algo == "dist-baswana-sen" || algo == "dist-tradeoff") {
-      const auto k = static_cast<std::uint32_t>(args.getInt("k"));
-      const auto t = static_cast<std::uint32_t>(args.getInt("t"));
+      const auto k = static_cast<std::uint32_t>(args.getCount("k"));
+      const auto t = static_cast<std::uint32_t>(args.getCount("t"));
       const auto seed = static_cast<std::uint64_t>(args.getInt("seed"));
       const std::string transportName = args.get("transport");
       runtime::Transport transport = runtime::Transport::kDefault;
       if (transportName == "shm")
         transport = runtime::Transport::kShmRing;
-      else if (transportName == "socket")
-        transport = runtime::Transport::kSocketMesh;
       else if (transportName == "tcp")
         transport = runtime::Transport::kTcp;
-      else if (transportName == "relay")
-        transport = runtime::Transport::kRelay;
       else if (!transportName.empty())
-        throw std::invalid_argument("unknown --transport: " + transportName);
-      const std::string pipelineName = args.get("pipeline");
-      int pipeline = -1;
-      if (pipelineName == "on")
-        pipeline = 1;
-      else if (pipelineName == "off")
-        pipeline = 0;
-      else if (!pipelineName.empty())
-        throw std::invalid_argument("unknown --pipeline: " + pipelineName +
-                                    " (expected on or off)");
-      // Negative counts fall back to the defaults (0 = env var / hardware),
-      // matching the env vars' own garbage handling.
+        throw std::invalid_argument("unknown --transport: " + transportName +
+                                    " (expected shm or tcp)");
       MpcSimulator sim(
           MpcConfig::forInput(8 * g.numEdges(), args.getDouble("gamma"), 3.0),
-          static_cast<std::size_t>(std::max<std::int64_t>(0, args.getInt("threads"))),
-          static_cast<std::size_t>(std::max<std::int64_t>(0, args.getInt("shards"))),
-          /*resident=*/-1, transport, pipeline);
-      std::fprintf(stdout,
-                   "simulator: %zu machines x %zu words, %zu shard(s)%s%s\n",
+          args.getCount("threads"), args.getCount("shards"), transport);
+      const char* backend = "";
+      if (sim.transport() == runtime::Transport::kShmRing)
+        backend = " (resident workers, shm ring)";
+      else if (sim.transport() == runtime::Transport::kTcp)
+        backend = " (resident workers, tcp mesh)";
+      std::fprintf(stdout, "simulator: %zu machines x %zu words, %zu shard(s)%s\n",
                    sim.numMachines(), sim.wordsPerMachine(), sim.numShards(),
-                   sim.numShards() > 1
-                       ? (sim.residentShards()
-                              ? (sim.tcpMeshShards()
-                                     ? " (resident workers, tcp mesh)"
-                                     : (sim.shmRingShards()
-                                            ? " (resident workers, shm ring)"
-                                            : (sim.peerMeshShards()
-                                                   ? " (resident workers, peer "
-                                                     "mesh)"
-                                                   : " (resident workers, "
-                                                     "coordinator relay)")))
-                              : " (fork per round)")
-                       : "",
-                   sim.numShards() > 1 && sim.residentShards()
-                       ? (sim.pipelinedShards() ? " [pipelined rounds]"
-                                                : " [strict barrier]")
-                       : "");
+                   backend);
       const DistSpannerResult r =
           algo == "dist-tradeoff"
               ? buildDistributedTradeoff(sim, g, k, t, seed)

@@ -99,8 +99,9 @@ int runConnect(const std::string& endpoint, std::size_t shardId,
     return 2;
   }
   const std::string host = endpoint.substr(0, colon);
-  const long port = std::strtol(endpoint.c_str() + colon + 1, nullptr, 10);
-  if (port <= 0 || port > 65535) {
+  char* end = nullptr;
+  const long port = std::strtol(endpoint.c_str() + colon + 1, &end, 10);
+  if (*end != '\0' || port <= 0 || port > 65535) {
     std::fprintf(stderr, "error: bad port in --connect '%s'\n",
                  endpoint.c_str());
     return 2;
@@ -130,7 +131,7 @@ int runConnect(const std::string& endpoint, std::size_t shardId,
   std::fprintf(stderr, "mpcspan_worker: shard %zu/%zu attached (%zu machines)\n",
                shardId, setup.cfg.shards, setup.cfg.numMachines);
   runResidentWorker(setup.cfg, ctrl, peers, std::move(setup.kernels),
-                    *setup.store, std::move(setup.inboxes));
+                    *setup.store);
   return 0;
 }
 
@@ -156,7 +157,6 @@ int runCoordinate(std::size_t shards, std::uint16_t port,
   cfg.numMachines = machines;
   cfg.threads = threads;
   cfg.shards = shards;
-  cfg.resident = 1;
   cfg.transport = Transport::kTcp;
   RoundEngine eng(cfg, std::make_unique<MpcTopology>(/*wordsPerMachine=*/256));
   const KernelId probe = ensureKernel<TcpProbeKernel>(eng);
@@ -218,22 +218,18 @@ int main(int argc, char** argv) {
     int timeoutMs = static_cast<int>(args.getInt("timeout"));
     if (timeoutMs <= 0) timeoutMs = mpcspan::runtime::shard::defaultTcpTimeoutMs();
 
-    const auto shards = static_cast<std::size_t>(args.getInt("coordinate"));
+    const std::size_t shards = args.getCount("coordinate");
     if (shards > 0)
-      return runCoordinate(shards,
-                           static_cast<std::uint16_t>(args.getInt("port")),
-                           static_cast<std::size_t>(args.getInt("machines")),
-                           static_cast<std::size_t>(args.getInt("rounds")),
-                           static_cast<std::size_t>(args.getInt("threads")),
-                           timeoutMs, args.getBool("local"));
+      return runCoordinate(shards, args.getPort("port"),
+                           args.getCount("machines"), args.getCount("rounds"),
+                           args.getCount("threads"), timeoutMs,
+                           args.getBool("local"));
     if (args.get("connect").empty()) {
       std::fprintf(stderr, "error: one of --connect or --coordinate is required\n\n%s",
                    args.usage().c_str());
       return 2;
     }
-    return runConnect(args.get("connect"),
-                      static_cast<std::size_t>(args.getInt("shard")),
-                      timeoutMs);
+    return runConnect(args.get("connect"), args.getCount("shard"), timeoutMs);
   } catch (const mpcspan::runtime::shard::ShardError& e) {
     std::fprintf(stderr, "ShardError: %s\n", e.what());
     return 1;

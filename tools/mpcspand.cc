@@ -76,11 +76,9 @@ int main(int argc, char** argv) {
     serve::ServerOptions opts;
     opts.artifactPath = args.get("artifact");
     opts.host = args.get("host");
-    opts.port = static_cast<std::uint16_t>(args.getInt("port"));
-    opts.sessionThreads = static_cast<std::size_t>(
-        std::max<std::int64_t>(1, args.getInt("threads")));
-    opts.queueCapacity = static_cast<std::size_t>(
-        std::max<std::int64_t>(1, args.getInt("queue")));
+    opts.port = args.getPort("port");
+    opts.sessionThreads = std::max<std::size_t>(1, args.getCount("threads"));
+    opts.queueCapacity = std::max<std::size_t>(1, args.getCount("queue"));
     opts.defaultDeadlineMs = static_cast<int>(args.getInt("deadline-ms"));
     opts.frameTimeoutMs = static_cast<int>(args.getInt("frame-timeout-ms"));
     opts.writeTimeoutMs = static_cast<int>(args.getInt("write-timeout-ms"));
