@@ -23,11 +23,12 @@ RoundEngine::RoundEngine(EngineConfig cfg, std::unique_ptr<Topology> topology)
   // processes, which fork once (lazily, at the first sharded operation, so
   // kernels/blocks registered until then cross with the fork snapshot),
   // splitting the configured lane count across the workers. The
-  // coordinator keeps its full-width pool_ anyway — sharded rounds bypass
-  // it, but consumers run their host-side compute through
-  // pool()/parallelFor() between rounds, and ThreadPool spawns its lanes
-  // lazily on first use, so a sharded run that never touches pool() still
-  // forks from a single-threaded parent.
+  // coordinator keeps its full-width pool_ anyway — kernel rounds bypass
+  // it, but coordinator-built exchange() rounds deliver on it and
+  // consumers run their host-side compute through pool()/parallelFor()
+  // between rounds. ThreadPool spawns its lanes lazily on first use, and
+  // returns from that spawn only once every lane runs its loop, so the
+  // workers may fork from a coordinator whose pool is already live.
   std::size_t shards =
       cfg.shards == 0 ? shard::ShardedEngine::defaultShards() : cfg.shards;
   shards = std::min(shards, numMachines_);
@@ -54,14 +55,14 @@ std::vector<std::vector<Delivery>> RoundEngine::exchange(
     std::vector<std::vector<Message>> outboxes) {
   if (outboxes.size() != numMachines_)
     throw std::invalid_argument("RoundEngine: outboxes size mismatch");
+  // The coordinator holds every outbox of a coordinator-built round, so it
+  // is delivered here on every engine, sharded or not: it reads no worker
+  // state and leaves the resident inboxes alone.
+  return deliver(std::move(outboxes), /*freePlacement=*/false);
+}
 
-  if (shard_) {
-    std::size_t roundWords = 0;
-    auto inbox = shard_->exchange(outboxes, roundWords);
-    ledger_.noteRound(roundWords);
-    return inbox;
-  }
-
+std::vector<std::vector<Delivery>> RoundEngine::deliver(
+    std::vector<std::vector<Message>> outboxes, bool freePlacement) {
   // Index pass (serial, no payload movement): per-destination list of
   // (src, outbox position), naturally in (src, position) order, plus the
   // per-destination word sums the topology's receive half checks.
@@ -70,7 +71,7 @@ std::vector<std::vector<Delivery>> RoundEngine::exchange(
     std::uint32_t pos;
   };
   std::vector<std::vector<Ref>> byDst(numMachines_);
-  const bool wantSums = topology_->needsInboundSums();
+  const bool wantSums = !freePlacement && topology_->needsInboundSums();
   std::vector<std::uint64_t> received(wantSums ? numMachines_ : 0, 0);
   for (std::size_t src = 0; src < numMachines_; ++src) {
     const auto& outbox = outboxes[src];
@@ -84,9 +85,11 @@ std::vector<std::vector<Delivery>> RoundEngine::exchange(
     }
   }
 
+  // A free data-placement round is deliver-all, unvalidated and uncharged.
   const std::size_t roundWords =
-      topology_->validate(numMachines_, outboxes, received);
-  const bool priorityWrite = topology_->mode() == Topology::Mode::kPriorityWrite;
+      freePlacement ? 0 : topology_->validate(numMachines_, outboxes, received);
+  const bool priorityWrite =
+      !freePlacement && topology_->mode() == Topology::Mode::kPriorityWrite;
 
   // Materialize inboxes in parallel: each destination is owned by exactly
   // one loop index, and every message has exactly one destination, so the
@@ -103,7 +106,7 @@ std::vector<std::vector<Delivery>> RoundEngine::exchange(
           {refs[i].src, std::move(outboxes[refs[i].src][refs[i].pos].payload)});
   });
 
-  ledger_.noteRound(roundWords);
+  if (!freePlacement) ledger_.noteRound(roundWords);
   return inbox;
 }
 
@@ -116,7 +119,7 @@ void RoundEngine::step(const StepFn& fn) {
   std::vector<std::vector<Message>> outboxes(numMachines_);
   pool_.parallelFor(numMachines_,
                     [&](std::size_t m) { outboxes[m] = fn(m, inboxes_[m]); });
-  inboxes_ = exchange(std::move(outboxes));
+  inboxes_ = deliver(std::move(outboxes), /*freePlacement=*/false);
 }
 
 // --- Registered kernels. ---
@@ -197,10 +200,9 @@ void RoundEngine::step(KernelId kernel, std::vector<Word> args) {
     std::size_t roundWords = 0;
     shard_->stepKernel(kernel.index, args, roundWords);
     ledger_.noteRound(roundWords);
-    inboxesResident_ = true;
     return;
   }
-  inboxes_ = exchange(runKernelWave(kernel, args));
+  inboxes_ = deliver(runKernelWave(kernel, args), /*freePlacement=*/false);
 }
 
 std::vector<std::vector<Message>> RoundEngine::runKernelWave(
@@ -220,36 +222,9 @@ void RoundEngine::stepShuffle(KernelId kernel, std::vector<Word> args) {
   if (shard_) {
     std::size_t ignoredWords = 0;
     shard_->stepKernel(kernel.index, args, ignoredWords, /*freePlacement=*/true);
-    inboxesResident_ = true;
     return;
   }
-  deliverFree(runKernelWave(kernel, args));
-}
-
-void RoundEngine::deliverFree(std::vector<std::vector<Message>> outboxes) {
-  struct Ref {
-    std::uint32_t src;
-    std::uint32_t pos;
-  };
-  std::vector<std::vector<Ref>> byDst(numMachines_);
-  for (std::size_t src = 0; src < numMachines_; ++src) {
-    const auto& outbox = outboxes[src];
-    for (std::size_t pos = 0; pos < outbox.size(); ++pos) {
-      if (outbox[pos].dst >= numMachines_)
-        throw std::invalid_argument("RoundEngine: message to unknown machine");
-      byDst[outbox[pos].dst].push_back({static_cast<std::uint32_t>(src),
-                                        static_cast<std::uint32_t>(pos)});
-    }
-  }
-  std::vector<std::vector<Delivery>> inbox(numMachines_);
-  pool_.parallelFor(numMachines_, [&](std::size_t d) {
-    const auto& refs = byDst[d];
-    inbox[d].reserve(refs.size());
-    for (const Ref& ref : refs)
-      inbox[d].push_back(
-          {ref.src, std::move(outboxes[ref.src][ref.pos].payload)});
-  });
-  inboxes_ = std::move(inbox);
+  inboxes_ = deliver(runKernelWave(kernel, args), /*freePlacement=*/true);
 }
 
 void RoundEngine::stepLocal(KernelId kernel, std::vector<Word> args) {
@@ -312,15 +287,6 @@ void RoundEngine::freeBlocks(std::uint64_t handle) {
     return;
   }
   store_.erase(handle);
-}
-
-std::vector<std::vector<Delivery>> RoundEngine::snapshotInboxes() {
-  // inboxesResident_ implies the authoritative copy lives (lived) in the
-  // resident workers — fetch it, and if the backend has since failed let
-  // the ShardError surface rather than passing off the stale coordinator
-  // copy as valid.
-  if (inboxesResident_) return shard_->fetchInboxes();
-  return inboxes_;
 }
 
 }  // namespace mpcspan::runtime

@@ -8,7 +8,10 @@
 // the machines are partitioned over resident worker processes instead —
 // forked once per engine and driven by control frames over one fused,
 // pipelined round barrier (see runtime/shard/sharded_engine.hpp) — behind
-// this same interface. Message delivery is deterministic: every inbox holds
+// this same interface. Only what lives on the workers crosses to them:
+// kernel rounds and phases, and blocks. A coordinator-built round
+// (exchange()) holds every outbox already, so it is delivered in-process on
+// every engine and never forks a worker. Message delivery is deterministic: every inbox holds
 // its deliveries in (source id, send position) order regardless of the
 // thread or shard count, so 1-thread, N-thread, 1-shard, and N-shard runs
 // of the same workload are bit-identical — rounds, traffic totals, and
@@ -90,11 +93,14 @@ class RoundEngine {
   void chargeRounds(std::size_t n) { ledger_.rounds += n; }
   void chargeTraffic(std::size_t words) { ledger_.wordsSent += words; }
 
-  /// One synchronous communication round: bounds-checks destinations,
-  /// validates the outboxes against the topology, delivers, and updates the
-  /// ledger. inbox[d] holds deliveries ordered by (src, position in src's
-  /// outbox). Under Topology::Mode::kPriorityWrite only the first delivery
-  /// per destination lands. Outboxes are consumed.
+  /// One synchronous communication round over coordinator-built outboxes:
+  /// bounds-checks destinations, validates the outboxes against the
+  /// topology, delivers, and updates the ledger. inbox[d] holds deliveries
+  /// ordered by (src, position in src's outbox). Under
+  /// Topology::Mode::kPriorityWrite only the first delivery per destination
+  /// lands. Outboxes are consumed. Runs in-process on every engine (a
+  /// sharded one included — it touches no worker state) and leaves the
+  /// machines' resident inboxes alone.
   std::vector<std::vector<Delivery>> exchange(
       std::vector<std::vector<Message>> outboxes);
 
@@ -128,8 +134,8 @@ class RoundEngine {
   /// lives (in-process, or inside its resident worker), the outboxes are
   /// validated/delivered under the topology exactly like exchange(), and
   /// the deliveries land in the machines' resident inboxes (worker-owned
-  /// when sharded — they are not shipped back; use snapshotInboxes() or
-  /// fetchKernel() to observe state). `args` is broadcast to every machine.
+  /// when sharded — they are not shipped back; a kernel's fetch() sees
+  /// them as ctx.inbox, so fetchKernel() is how to observe them). `args` is broadcast to every machine.
   /// A kernel throw aborts the round for all shards: ledger and inboxes
   /// untouched, engine and workers still usable.
   void step(KernelId kernel, std::vector<Word> args = {});
@@ -161,11 +167,6 @@ class RoundEngine {
   std::vector<std::vector<Word>> readBlocks(std::uint64_t handle);
   void freeBlocks(std::uint64_t handle);
 
-  /// Every machine's resident inbox, fetched from wherever it lives. The
-  /// inbox(machine) accessor only tracks in-process rounds; after kernel
-  /// rounds on a sharded engine this is the authoritative view.
-  std::vector<std::vector<Delivery>> snapshotInboxes();
-
   /// Deterministic parallel loop on the engine's pool. fn must write to
   /// disjoint outputs; then the result is identical for every thread count.
   void parallelFor(std::size_t n, const std::function<void(std::size_t)>& fn) {
@@ -178,18 +179,19 @@ class RoundEngine {
   /// pool (step's and stepShuffle's shared half).
   std::vector<std::vector<Message>> runKernelWave(KernelId kernel,
                                                   const std::vector<Word>& args);
-  /// Unvalidated, uncharged deliver-all into inboxes_ (stepShuffle's
-  /// in-process half).
-  void deliverFree(std::vector<std::vector<Message>> outboxes);
+  /// The one in-process delivery routine (exchange(), the closure step,
+  /// and the in-process half of step(KernelId) and stepShuffle()): bounds
+  /// check, index by destination, validate, materialize in (src,
+  /// send-position) order, charge the ledger. `freePlacement` mirrors the
+  /// workers' flag: no validation, no priority-write drop, no ledger.
+  std::vector<std::vector<Delivery>> deliver(
+      std::vector<std::vector<Message>> outboxes, bool freePlacement);
 
   std::size_t numMachines_;
   std::unique_ptr<Topology> topology_;
   ThreadPool pool_;
   Accounting ledger_;
-  std::vector<std::vector<Delivery>> inboxes_;
-  /// True while the worker-resident inboxes are ahead of inboxes_ (kernel
-  /// rounds ran on the sharded backend).
-  bool inboxesResident_ = false;
+  std::vector<std::vector<Delivery>> inboxes_;  // in-process rounds only
   std::vector<KernelRegistration> kernels_;
   std::vector<std::unique_ptr<StepKernel>> kernelInstances_;  // in-process
   BlockStore store_;  // in-process blocks; pre-start staging when sharded

@@ -1,12 +1,16 @@
 // Wire protocol shared by the sharded-engine coordinator, the resident
 // worker loop, and the standalone `mpcspan_worker` attach tool: control
 // opcodes, barrier verdicts, error-kind tags, and the frame helpers both
-// sides use to speak them.
+// sides use to speak them. The worker loop runs in forked children and in
+// remote processes of a different binary (tools/mpcspan_worker), so both
+// ends must agree on every byte defined here.
 //
-// Everything here used to live in sharded_engine.cc's anonymous namespace;
-// it moved out when Transport::kTcp made the worker loop reachable from a
-// *different binary* (tools/mpcspan_worker), which must agree with the
-// coordinator on every byte.
+// The control channel carries only what lives on the workers: kernel
+// rounds (STEP) and free kernel phases (LOCAL, FETCH_KERNEL), kernel
+// registration, block maintenance, remote SETUP and SHUTDOWN. A
+// coordinator-built round (RoundEngine::exchange) runs in the coordinator
+// and never crosses this wire; resident inboxes are read through a
+// kernel's fetch().
 #pragma once
 
 #include <cstddef>
@@ -30,8 +34,8 @@ inline constexpr std::uint8_t kOtherKind = 3;
 inline constexpr std::uint8_t kRangeKind = 4;
 
 // Control-frame opcodes of the resident worker protocol (first byte of
-// every coordinator -> worker frame).
-inline constexpr std::uint8_t kOpExchange = 1;
+// every coordinator -> worker frame). The values are fixed on the wire, so
+// the unused 1 and 9 stay unassigned.
 inline constexpr std::uint8_t kOpStep = 2;
 inline constexpr std::uint8_t kOpLocal = 3;
 inline constexpr std::uint8_t kOpFetchKernel = 4;
@@ -39,7 +43,6 @@ inline constexpr std::uint8_t kOpRegisterKernel = 5;
 inline constexpr std::uint8_t kOpStoreBlocks = 6;
 inline constexpr std::uint8_t kOpFetchBlocks = 7;
 inline constexpr std::uint8_t kOpFreeBlocks = 8;
-inline constexpr std::uint8_t kOpFetchInboxes = 9;
 inline constexpr std::uint8_t kOpShutdown = 10;
 // Remote-attach provisioning: the engine state a fork snapshot would have
 // carried (dimensions, topology descriptor, kernel names, blocks),
@@ -98,34 +101,6 @@ struct Ref {
 std::vector<std::vector<Ref>> indexByDst(
     const std::vector<std::vector<Message>>& projected, std::size_t lo,
     std::size_t hi, bool priorityWrite);
-
-/// Parses one shard's per-machine section of a frame into rows[m] for m in
-/// [lo, hi): a u64 count, then (u64 id, u64 len, len words) per row. Row is
-/// Message (id = dst) or Delivery (id = src). Wire-supplied sizes are vetted
-/// against the frame's remaining bytes before sizing any container, so a
-/// corrupt frame throws ShardError, never bad_alloc.
-template <class Row>
-void parseRows(WireReader& r, std::size_t lo, std::size_t hi,
-               std::vector<std::vector<Row>>& rows) {
-  std::vector<Word> scratch;
-  for (std::size_t m = lo; m < hi; ++m) {
-    const std::uint64_t count = r.u64();
-    // A row is at least two u64s.
-    if (count > r.remaining() / (2 * sizeof(std::uint64_t)))
-      throw ShardError("shard wire frame: corrupt row count");
-    rows[m].reserve(count);
-    for (std::uint64_t i = 0; i < count; ++i) {
-      const std::uint64_t id = r.u64();
-      const std::uint64_t len = r.u64();
-      if (len > r.remaining() / sizeof(Word))
-        throw ShardError("shard wire frame: corrupt payload length");
-      scratch.resize(len);
-      r.words(scratch.data(), len);
-      rows[m].push_back(
-          {static_cast<std::size_t>(id), Payload(scratch.data(), len)});
-    }
-  }
-}
 
 /// Sends a {kind, words | error} report.
 template <class Wire>

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cstdint>
 #include <cstdlib>
 #include <functional>
 #include <stdexcept>
@@ -16,6 +17,7 @@
 #include "runtime/shard/shm_ring.hpp"
 #include "runtime/shard/tcp_transport.hpp"
 #include "runtime/shard/worker_loop.hpp"
+#include "util/args.hpp"
 
 namespace mpcspan::runtime::shard {
 
@@ -123,17 +125,12 @@ std::size_t ShardedEngine::shardOf(std::size_t machine) const {
 }
 
 std::size_t ShardedEngine::defaultShards() {
-  if (const char* env = std::getenv("MPCSPAN_SHARDS")) {
-    const long v = std::strtol(env, nullptr, 10);
-    if (v >= 1) return static_cast<std::size_t>(v);
-  }
-  return 1;
+  return static_cast<std::size_t>(
+      envInteger("MPCSPAN_SHARDS", 1, 1, INT64_MAX));
 }
 
 bool ShardedEngine::defaultTcpExchange() {
-  if (const char* env = std::getenv("MPCSPAN_TCP_EXCHANGE"))
-    return std::strtol(env, nullptr, 10) != 0;
-  return false;
+  return envFlag("MPCSPAN_TCP_EXCHANGE");
 }
 
 std::vector<pid_t> ShardedEngine::workerPids() const {
@@ -565,69 +562,6 @@ void ShardedEngine::freeBlocks(std::uint64_t handle) {
       f.sendFramed(w.fd);
     }
     awaitAcks();
-  });
-}
-
-std::vector<std::vector<Delivery>> ShardedEngine::fetchInboxes() {
-  start();
-  return guarded([&] {
-    for (Worker& w : workers_) {
-      WireWriter f;
-      f.u8(kOpFetchInboxes);
-      f.sendFramed(w.fd);
-    }
-    std::vector<std::vector<Delivery>> out(numMachines_);
-    for (std::size_t s = 0; s < shards_; ++s) {
-      WireReader r = WireReader::recvFramed(workers_[s].fd);
-      parseRows<Delivery>(r, shardBegin(s), shardEnd(s), out);
-    }
-    return out;
-  });
-}
-
-std::vector<std::vector<Delivery>> ShardedEngine::exchange(
-    const std::vector<std::vector<Message>>& outboxes,
-    std::size_t& roundWords) {
-  const std::size_t n = numMachines_;
-
-  // One scan: bounds-check every destination, gather the receive sums, and
-  // append each row straight into its destination shard's section (rows in
-  // (src asc, send-position asc) order — the delivery order). Then the
-  // round is validated exactly as in-process, before anything is sent: a
-  // rejected round leaves the engine and the workers untouched.
-  const bool wantSums = topology_->needsInboundSums();
-  std::vector<std::uint64_t> received(wantSums ? n : 0, 0);
-  std::vector<WireWriter> sections(shards_);
-  std::vector<std::uint64_t> counts(shards_, 0);
-  for (std::size_t src = 0; src < n; ++src)
-    for (const Message& msg : outboxes[src]) {
-      if (msg.dst >= n)
-        throw std::invalid_argument("RoundEngine: message to unknown machine");
-      if (wantSums) received[msg.dst] += msg.payload.size();
-      const std::size_t t = shardOf(msg.dst);
-      sections[t].row(src, msg.dst, msg.payload.data(), msg.payload.size());
-      ++counts[t];
-    }
-  const std::size_t words = topology_->validate(n, outboxes, received);
-
-  start();
-  return guarded([&] {
-    for (std::size_t s = 0; s < shards_; ++s) {
-      WireWriter f;
-      f.reserve(1 + 8 + sections[s].size());
-      f.u8(kOpExchange);
-      f.u64(counts[s]);
-      f.append(sections[s]);
-      f.sendFramed(workers_[s].fd);
-    }
-    // Merge the delivery fragments in shard (= destination) order.
-    std::vector<std::vector<Delivery>> inbox(n);
-    for (std::size_t s = 0; s < shards_; ++s) {
-      WireReader r = WireReader::recvFramed(workers_[s].fd);
-      parseRows<Delivery>(r, shardBegin(s), shardEnd(s), inbox);
-    }
-    roundWords = words;
-    return inbox;
   });
 }
 

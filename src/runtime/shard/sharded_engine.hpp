@@ -11,14 +11,16 @@
 //   REGISTER_KERNEL  bind a kernel id to a name/factory (ack'd);
 //   STEP             one kernel round over the fused barrier below;
 //   LOCAL / FETCH    free kernel phases (no round): per-machine local
-//                    compute, per-machine state readout;
-//   EXCHANGE         one round whose outboxes were built coordinator-side
-//                    (RoundEngine::exchange): the coordinator validates the
-//                    whole round, ships each worker the rows addressed to
-//                    its machines, and the workers ship back the
-//                    materialized deliveries in delivery order;
+//                    compute, per-machine state readout — a kernel's
+//                    fetch() sees the machine's resident inbox, which is
+//                    how resident deliveries are observed;
 //   STORE/FETCH/FREE worker-owned BlockStore maintenance (DistVector);
 //   SHUTDOWN         clean exit; the destructor sends it and reaps.
+//
+// Only what lives on the workers crosses this wire. A coordinator-built
+// round (RoundEngine::exchange) already has every outbox at the
+// coordinator, so RoundEngine delivers it in-process on every engine; an
+// engine that runs only such rounds never forks a worker.
 //
 // Two transports carry the cross-shard sections of a STEP round:
 //   - kShmRing (the default): per-worker-pair SPSC rings in one shared
@@ -99,7 +101,7 @@ class ShardedEngine {
   /// The transport in use (never kDefault; kTcp after an shm fallback).
   Transport transport() const { return transport_; }
   /// True once the workers have forked (they fork lazily, at the first
-  /// round / kernel / block operation).
+  /// kernel or block operation).
   bool started() const { return !workers_.empty(); }
   /// Pids of the live workers (empty before start(); -1 for remote tcp
   /// attaches); stable across rounds — the acceptance check that forking
@@ -113,19 +115,6 @@ class ShardedEngine {
   std::size_t shardBegin(std::size_t s) const;
   std::size_t shardEnd(std::size_t s) const { return shardBegin(s + 1); }
   std::size_t shardOf(std::size_t machine) const;
-
-  /// One sharded synchronous round over coordinator-built outboxes.
-  /// Validates the round coordinator-side exactly as the in-process engine
-  /// does (bounds, Topology::validate) before any frame leaves, then
-  /// returns the per-machine inboxes and writes the words moved to
-  /// `roundWords` (the caller owns the ledger). The workers' resident
-  /// inboxes are left alone, exactly as the in-process path leaves
-  /// RoundEngine's stored inboxes alone. Throws CapacityError /
-  /// std::invalid_argument exactly as the in-process path would, and
-  /// ShardError if a worker dies.
-  std::vector<std::vector<Delivery>> exchange(
-      const std::vector<std::vector<Message>>& outboxes,
-      std::size_t& roundWords);
 
   /// Announces an engine-level registration to the running workers; no-op
   /// before start() (the fork snapshot carries the table). The workers
@@ -155,13 +144,11 @@ class ShardedEngine {
   std::vector<std::vector<Word>> fetchBlocks(std::uint64_t handle);
   void freeBlocks(std::uint64_t handle);
 
-  /// Ships every worker's resident inboxes back (free; diagnostics).
-  std::vector<std::vector<Delivery>> fetchInboxes();
-
-  /// The MPCSPAN_SHARDS env var (clamped to >= 1), else 1.
+  /// The MPCSPAN_SHARDS env var (>= 1), else 1. A malformed value throws
+  /// std::invalid_argument naming the variable.
   static std::size_t defaultShards();
-  /// MPCSPAN_TCP_EXCHANGE env var: 1 selects the TCP rendezvous mesh
-  /// (default off — same-host engines keep the shm rings).
+  /// MPCSPAN_TCP_EXCHANGE env var (0/1 only): 1 selects the TCP rendezvous
+  /// mesh (default off — same-host engines keep the shm rings).
   static bool defaultTcpExchange();
 
  private:

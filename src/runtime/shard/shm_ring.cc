@@ -15,6 +15,8 @@
 #include <cstring>
 #include <string>
 
+#include "util/args.hpp"
+
 namespace mpcspan::runtime::shard {
 
 namespace {
@@ -233,13 +235,9 @@ std::size_t defaultShmRingBytes() {
   constexpr std::size_t kDefault = std::size_t{1} << 20;  // 1 MiB
   constexpr std::size_t kMin = std::size_t{1} << 12;      // 4 KiB
   constexpr std::size_t kMax = std::size_t{1} << 30;      // 1 GiB
-  const char* env = std::getenv("MPCSPAN_SHM_RING_BYTES");
-  if (env == nullptr || *env == '\0') return kDefault;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(env, &end, 10);
-  if (end == env) return kDefault;
-  return std::bit_ceil(std::clamp<std::size_t>(
-      static_cast<std::size_t>(v), kMin, kMax));
+  const auto bytes = static_cast<std::size_t>(
+      envInteger("MPCSPAN_SHM_RING_BYTES", kDefault, 1, kMax));
+  return std::bit_ceil(std::max(bytes, kMin));
 }
 
 ShmArena::ShmArena(std::size_t workers, std::size_t ringBytes)

@@ -62,8 +62,9 @@ static_assert(std::atomic<std::uint64_t>::is_always_lock_free,
 /// kMaxFrameBytes): "skip to the ring edge and re-read the prefix there".
 constexpr std::uint64_t kPadMarker = ~0ull;
 
-/// Ring capacity in bytes: MPCSPAN_SHM_RING_BYTES rounded up to a power of
-/// two and clamped to [4 KiB, 1 GiB]; 1 MiB when unset.
+/// Ring capacity in bytes: MPCSPAN_SHM_RING_BYTES (in [1, 1 GiB]; anything
+/// else throws std::invalid_argument) rounded up to a power of two, at
+/// least 4 KiB; 1 MiB when unset.
 std::size_t defaultShmRingBytes();
 
 /// The process-shared arena: workers * workers ring slots (diagonal

@@ -11,24 +11,18 @@
 
 #include <atomic>
 #include <cerrno>
+#include <climits>
 #include <cstdlib>
 #include <cstring>
 #include <ctime>
 
 #include "runtime/shard/peer_mesh.hpp"
+#include "util/args.hpp"
 #include "util/deadline.hpp"
 
 namespace mpcspan::runtime::shard {
 
 namespace {
-
-long envLong(const char* name, long fallback) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return fallback;
-  char* end = nullptr;
-  const long parsed = std::strtol(v, &end, 10);
-  return (end != nullptr && *end == '\0') ? parsed : fallback;
-}
 
 [[noreturn]] void throwErrno(const std::string& what) {
   throw ShardError(what + ": " + std::strerror(errno));
@@ -65,16 +59,15 @@ void awaitFd(int fd, short events, int deadlineMs, const char* what) {
 }  // namespace
 
 int defaultTcpTimeoutMs() {
-  const long ms = envLong("MPCSPAN_TCP_TIMEOUT_MS", 30000);
-  return ms > 0 ? static_cast<int>(ms) : 30000;
+  return static_cast<int>(
+      envInteger("MPCSPAN_TCP_TIMEOUT_MS", 30000, 1, INT_MAX));
 }
 
 std::uint16_t defaultTcpPort() {
-  const long p = envLong("MPCSPAN_TCP_PORT", 0);
-  return (p > 0 && p <= 65535) ? static_cast<std::uint16_t>(p) : 0;
+  return static_cast<std::uint16_t>(envInteger("MPCSPAN_TCP_PORT", 0, 0, 65535));
 }
 
-bool defaultTcpRemote() { return envLong("MPCSPAN_TCP_REMOTE", 0) == 1; }
+bool defaultTcpRemote() { return envFlag("MPCSPAN_TCP_REMOTE"); }
 
 std::uint64_t makeTcpEpoch() {
   static std::atomic<std::uint64_t> counter{0};

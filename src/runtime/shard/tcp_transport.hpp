@@ -47,14 +47,19 @@ constexpr std::uint64_t kTcpMagic = 0x314e415053504d4dull;
 /// from an older build are rejected at the handshake.
 constexpr std::uint8_t kTcpVersion = 3;
 
-/// MPCSPAN_TCP_TIMEOUT_MS (default 30000): per-blocking-wait deadline for
-/// every tcp channel.
+// The tcp env knobs are strict (util/args.hpp envInteger/envFlag): a
+// malformed or out-of-range value throws std::invalid_argument naming the
+// variable instead of silently falling back.
+
+/// MPCSPAN_TCP_TIMEOUT_MS (default 30000, >= 1): per-blocking-wait deadline
+/// for every tcp channel.
 int defaultTcpTimeoutMs();
-/// MPCSPAN_TCP_PORT (default 0 = kernel-assigned): the coordinator's
-/// rendezvous port. Remote workers must be pointed at a fixed value.
+/// MPCSPAN_TCP_PORT (default 0 = kernel-assigned, [0, 65535]): the
+/// coordinator's rendezvous port. Remote workers must be pointed at a fixed
+/// value.
 std::uint16_t defaultTcpPort();
-/// MPCSPAN_TCP_REMOTE=1: the coordinator forks nothing and instead waits
-/// for every shard to attach via mpcspan_worker.
+/// MPCSPAN_TCP_REMOTE=1 (0/1 only): the coordinator forks nothing and
+/// instead waits for every shard to attach via mpcspan_worker.
 bool defaultTcpRemote();
 
 /// Nonzero, unique-per-engine rendezvous epoch (pid + counter mix). Zero is

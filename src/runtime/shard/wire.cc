@@ -107,13 +107,6 @@ void WireWriter::row(std::uint64_t a, std::uint64_t b, const Word* w,
   words(w, n);
 }
 
-void WireWriter::idRow(std::uint64_t id, const Word* w, std::size_t n) {
-  const std::uint64_t hdr[2] = {id, n};
-  const auto* hp = reinterpret_cast<const std::uint8_t*>(hdr);
-  buf_.insert(buf_.end(), hp, hp + sizeof(hdr));
-  words(w, n);
-}
-
 void WireWriter::append(const WireWriter& other) {
   buf_.insert(buf_.end(), other.buf_.begin(), other.buf_.end());
 }

@@ -92,9 +92,6 @@ class WireWriter {
   /// row format of the cross-shard sections — appended with two bulk
   /// inserts instead of four per-field ones (the resident hot path).
   void row(std::uint64_t a, std::uint64_t b, const Word* w, std::size_t n);
-  /// One (id, payload-length) header pair plus the payload words (the
-  /// two-field row of own-outbox / delivery sections).
-  void idRow(std::uint64_t id, const Word* w, std::size_t n);
 
   /// Appends another writer's buffer verbatim (used to concatenate
   /// per-destination fragments built in parallel).

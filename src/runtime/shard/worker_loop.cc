@@ -320,36 +320,6 @@ void runResidentWorker(const WorkerConfig& cfg, Channel& ctrl,
           break;
         }
 
-        case kOpExchange: {
-          // The coordinator validated the whole round before sending; the
-          // frame holds every row addressed to this shard's machines, in
-          // (src asc, send-position asc) order. A garbled frame throws
-          // ShardError, which exits the worker.
-          std::vector<std::vector<Message>> projected(n);
-          Arena& mergeArena = deliveryArena[1 - curArena];
-          mergeArena.reset();
-          const std::uint64_t count = cmd.u64();
-          mergeSectionRows(cmd, count, 0, n, lo, hi, projected, &mergeArena);
-          // Materialize this destination range and ship it back; the
-          // resident inboxes are left alone (RoundEngine::exchange never
-          // touches them).
-          const std::vector<std::vector<Ref>> byDst =
-              indexByDst(projected, lo, hi, priorityWrite);
-          std::vector<WireWriter> fragments(local);
-          pool.parallelFor(local, [&](std::size_t i) {
-            WireWriter& w = fragments[i];
-            w.u64(byDst[i].size());
-            for (const Ref& ref : byDst[i]) {
-              const Payload& p = projected[ref.src][ref.pos].payload;
-              w.idRow(ref.src, p.data(), p.size());
-            }
-          });
-          WireWriter body;
-          for (const WireWriter& f : fragments) body.append(f);
-          body.sendFramed(ctrl);
-          break;
-        }
-
         case kOpLocal: {
           const std::uint64_t kid = cmd.u64();
           const std::vector<Word> args = readArgs(cmd);
@@ -448,20 +418,6 @@ void runResidentWorker(const WorkerConfig& cfg, Channel& ctrl,
           const std::uint64_t handle = cmd.u64();
           store.erase(handle);
           writeReport(ctrl, kOk, std::string());
-          break;
-        }
-
-        case kOpFetchInboxes: {
-          WireWriter w;
-          for (const std::vector<Delivery>& inbox : inboxBuf[curInbox]) {
-            w.u64(inbox.size());
-            for (const Delivery& d : inbox) {
-              w.u64(d.src);
-              w.u64(d.payload.size());
-              w.words(d.payload.data(), d.payload.size());
-            }
-          }
-          w.sendFramed(ctrl);
           break;
         }
 

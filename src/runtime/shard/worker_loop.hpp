@@ -13,7 +13,11 @@
 // Either way the loop speaks the protocol.hpp control frames over `ctrl`
 // and exchanges cross-shard sections over `peers`, and its observable
 // behavior (delivery order, validation, error surface) is identical — the
-// transports are bit-identical by construction.
+// transports are bit-identical by construction. The loop serves only what
+// lives here: kernel rounds and phases, and blocks. Coordinator-built
+// rounds are delivered in-process by RoundEngine and never reach it; the
+// resident inboxes it keeps are read through a kernel's fetch()
+// (RoundEngine::fetchKernel).
 #pragma once
 
 #include <cstddef>

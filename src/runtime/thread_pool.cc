@@ -1,15 +1,15 @@
 #include "runtime/thread_pool.hpp"
 
 #include <algorithm>
-#include <cstdlib>
+#include <cstdint>
+
+#include "util/args.hpp"
 
 namespace mpcspan::runtime {
 
 std::size_t ThreadPool::defaultThreads() {
-  if (const char* env = std::getenv("MPCSPAN_THREADS")) {
-    const long v = std::strtol(env, nullptr, 10);
-    if (v >= 1) return static_cast<std::size_t>(v);
-  }
+  const std::int64_t env = envInteger("MPCSPAN_THREADS", 0, 1, INT64_MAX);
+  if (env > 0) return static_cast<std::size_t>(env);
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : hw;
 }

@@ -51,6 +51,8 @@ class ThreadPool {
   void parallelForChunks(std::size_t n, std::size_t chunk,
                          const std::function<void(std::size_t, std::size_t)>& fn);
 
+  /// MPCSPAN_THREADS (>= 1; a malformed value throws std::invalid_argument
+  /// naming the variable), else hardware concurrency.
   static std::size_t defaultThreads();
 
  private:

@@ -1,5 +1,6 @@
 #include "util/args.hpp"
 
+#include <cctype>
 #include <cerrno>
 #include <cstdlib>
 #include <stdexcept>
@@ -66,17 +67,41 @@ std::string ArgParser::get(const std::string& name) const {
   return s->second.defaultValue;
 }
 
-std::int64_t ArgParser::getInt(const std::string& name) const {
-  const std::string v = get(name);
+namespace {
+
+/// The one strict integer parse behind getInt and the env knobs; errors
+/// name `what` (a flag's "--name" or an env variable's name).
+std::int64_t parseInteger(const std::string& what, const std::string& text) {
   char* end = nullptr;
   errno = 0;
-  const long long x = std::strtoll(v.c_str(), &end, 10);
-  if (v.empty() || *end != '\0')
-    throw std::invalid_argument("--" + name + ": expected an integer, got '" +
-                                v + "'");
+  const long long x = std::strtoll(text.c_str(), &end, 10);
+  if (text.empty() || std::isspace(static_cast<unsigned char>(text[0])) ||
+      *end != '\0')
+    throw std::invalid_argument(what + ": expected an integer, got '" + text +
+                                "'");
   if (errno == ERANGE)
-    throw std::invalid_argument("--" + name + ": integer out of range: " + v);
+    throw std::invalid_argument(what + ": integer out of range: " + text);
   return x;
+}
+
+}  // namespace
+
+std::int64_t envInteger(const char* name, std::int64_t fallback,
+                        std::int64_t lo, std::int64_t hi) {
+  const char* env = std::getenv(name);
+  if (env == nullptr || *env == '\0') return fallback;
+  const std::int64_t x = parseInteger(name, env);
+  if (x < lo || x > hi)
+    throw std::invalid_argument(std::string(name) + " must be in [" +
+                                std::to_string(lo) + ", " +
+                                std::to_string(hi) + "], got " + env);
+  return x;
+}
+
+bool envFlag(const char* name) { return envInteger(name, 0, 0, 1) == 1; }
+
+std::int64_t ArgParser::getInt(const std::string& name) const {
+  return parseInteger("--" + name, get(name));
 }
 
 double ArgParser::getDouble(const std::string& name) const {

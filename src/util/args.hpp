@@ -54,4 +54,14 @@ class ArgParser {
   std::string error_;
 };
 
+/// Reads an integer env knob with the same strict parse as getInt (base 10,
+/// no whitespace or trailing garbage, within int64): unset or empty yields
+/// `fallback`; a malformed value, or one outside [lo, hi], throws
+/// std::invalid_argument naming the variable.
+std::int64_t envInteger(const char* name, std::int64_t fallback,
+                        std::int64_t lo, std::int64_t hi);
+/// Reads a 0/1 env switch (unset or empty = off); any other value throws
+/// std::invalid_argument naming the variable.
+bool envFlag(const char* name);
+
 }  // namespace mpcspan

@@ -2,8 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <functional>
+#include <optional>
 #include <stdexcept>
 #include <string>
+#include <vector>
+
+#include "runtime/shard/sharded_engine.hpp"
+#include "runtime/shard/shm_ring.hpp"
+#include "runtime/shard/tcp_transport.hpp"
+#include "runtime/thread_pool.hpp"
 
 namespace mpcspan {
 namespace {
@@ -169,6 +178,122 @@ TEST(Args, EmptyDefaultIsReadOnlyWhenGiven) {
   ASSERT_TRUE(parse(q, {"--u", "17"}));
   ASSERT_TRUE(q.has("u"));
   EXPECT_EQ(q.getCount("u"), 17u);
+}
+
+// --- Env knobs: the same strict parse as the flags. ---
+
+/// Sets (or, with nullopt, unsets) an env var for one scope and restores
+/// whatever it held before.
+class ScopedEnv {
+ public:
+  ScopedEnv(const char* name, std::optional<std::string> value) : name_(name) {
+    if (const char* old = std::getenv(name)) saved_ = old;
+    if (value)
+      ::setenv(name, value->c_str(), 1);
+    else
+      ::unsetenv(name);
+  }
+  ~ScopedEnv() {
+    if (saved_)
+      ::setenv(name_, saved_->c_str(), 1);
+    else
+      ::unsetenv(name_);
+  }
+  ScopedEnv(const ScopedEnv&) = delete;
+  ScopedEnv& operator=(const ScopedEnv&) = delete;
+
+ private:
+  const char* name_;
+  std::optional<std::string> saved_;
+};
+
+TEST(Args, EnvIntegerIsStrictAndNamesTheVariable) {
+  const char* knob = "MPCSPAN_TEST_KNOB";
+  {
+    ScopedEnv env(knob, std::nullopt);
+    EXPECT_EQ(envInteger(knob, 7, 1, 10), 7);  // unset: the fallback
+  }
+  {
+    ScopedEnv env(knob, "");
+    EXPECT_EQ(envInteger(knob, 7, 1, 10), 7);  // empty reads as unset
+  }
+  for (const char* ok : {"1", "10", "4"}) {
+    ScopedEnv env(knob, ok);
+    EXPECT_EQ(envInteger(knob, 7, 1, 10), std::stol(ok)) << ok;
+  }
+  for (const char* bad : {"4x", "x4", " 4", "1.5", "0", "11", "-3",
+                          "99999999999999999999"}) {
+    ScopedEnv env(knob, bad);
+    const std::string err =
+        numericError([&] { (void)envInteger(knob, 7, 1, 10); });
+    EXPECT_NE(err.find(knob), std::string::npos)
+        << "'" << bad << "' -> '" << err << "'";
+  }
+}
+
+TEST(Args, EnvFlagAcceptsOnlyZeroAndOne) {
+  const char* knob = "MPCSPAN_TEST_FLAG";
+  {
+    ScopedEnv env(knob, std::nullopt);
+    EXPECT_FALSE(envFlag(knob));
+  }
+  {
+    ScopedEnv env(knob, "0");
+    EXPECT_FALSE(envFlag(knob));
+  }
+  {
+    ScopedEnv env(knob, "1");
+    EXPECT_TRUE(envFlag(knob));
+  }
+  for (const char* bad : {"2", "-1", "yes", "on", "true", "1x"}) {
+    ScopedEnv env(knob, bad);
+    EXPECT_NE(numericError([&] { (void)envFlag(knob); }).find(knob),
+              std::string::npos)
+        << bad;
+  }
+}
+
+TEST(Args, RuntimeEnvKnobsRejectMalformedValues) {
+  // Every env knob of the runtime goes through envInteger / envFlag: a
+  // typo or an out-of-range value is an error naming the variable, never a
+  // silent fallback to the default.
+  using runtime::ThreadPool;
+  using runtime::shard::ShardedEngine;
+  struct Knob {
+    const char* name;
+    std::function<void()> read;
+    std::vector<const char*> bad;
+  };
+  const std::vector<Knob> knobs = {
+      {"MPCSPAN_THREADS", [] { (void)ThreadPool::defaultThreads(); },
+       {"4x", "0", "-2"}},
+      {"MPCSPAN_SHARDS", [] { (void)ShardedEngine::defaultShards(); },
+       {"4x", "0", "-1"}},
+      {"MPCSPAN_SHM_RING_BYTES",
+       [] { (void)runtime::shard::defaultShmRingBytes(); },
+       {"4x", "0", "2147483648"}},
+      {"MPCSPAN_TCP_PORT", [] { (void)runtime::shard::defaultTcpPort(); },
+       {"70000", "-1", "80x"}},
+      {"MPCSPAN_TCP_TIMEOUT_MS",
+       [] { (void)runtime::shard::defaultTcpTimeoutMs(); },
+       {"0", "abc", "99999999999"}},
+      {"MPCSPAN_TCP_REMOTE", [] { (void)runtime::shard::defaultTcpRemote(); },
+       {"2", "yes"}},
+      {"MPCSPAN_TCP_EXCHANGE",
+       [] { (void)ShardedEngine::defaultTcpExchange(); }, {"2", "on"}},
+  };
+  for (const Knob& knob : knobs)
+    for (const char* bad : knob.bad) {
+      ScopedEnv env(knob.name, bad);
+      EXPECT_NE(numericError(knob.read).find(knob.name), std::string::npos)
+          << knob.name << "=" << bad;
+    }
+  ScopedEnv shards("MPCSPAN_SHARDS", "3");
+  EXPECT_EQ(ShardedEngine::defaultShards(), 3u);
+  ScopedEnv port("MPCSPAN_TCP_PORT", "65535");
+  EXPECT_EQ(runtime::shard::defaultTcpPort(), 65535u);
+  ScopedEnv remote("MPCSPAN_TCP_REMOTE", "1");
+  EXPECT_TRUE(runtime::shard::defaultTcpRemote());
 }
 
 }  // namespace

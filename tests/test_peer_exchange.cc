@@ -12,6 +12,7 @@
 #include <memory>
 #include <thread>
 
+#include "inbox_probe.hpp"
 #include "runtime/round_engine.hpp"
 #include "runtime/shard/sharded_engine.hpp"
 #include "runtime/shard/wire.hpp"
@@ -57,11 +58,11 @@ TEST(PeerExchange, CapacityAbortDiscardsSpeculativeDeliveriesOnBothTransports) {
         "test.flooder", [] { return std::make_unique<Flooder>(); });
     eng.step(k);
     const std::size_t wordsBefore = eng.totalWordsSent();
-    const auto inboxesBefore = eng.snapshotInboxes();
+    const auto inboxesBefore = test_support::residentInboxes(eng);
     EXPECT_THROW(eng.step(k, {1}), CapacityError);
     EXPECT_EQ(eng.rounds(), 1u);
     EXPECT_EQ(eng.totalWordsSent(), wordsBefore);
-    const auto inboxesAfter = eng.snapshotInboxes();
+    const auto inboxesAfter = test_support::residentInboxes(eng);
     ASSERT_EQ(inboxesBefore.size(), inboxesAfter.size());
     for (std::size_t m = 0; m < inboxesBefore.size(); ++m) {
       ASSERT_EQ(inboxesBefore[m].size(), inboxesAfter[m].size());

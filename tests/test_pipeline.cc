@@ -19,6 +19,7 @@
 #include <thread>
 #include <vector>
 
+#include "inbox_probe.hpp"
 #include "runtime/round_engine.hpp"
 #include "runtime/shard/peer_mesh.hpp"
 #include "runtime/shard/sharded_engine.hpp"
@@ -99,7 +100,7 @@ struct Result {
 Result collect(RoundEngine& eng, KernelId k) {
   Result res;
   res.fetched = eng.fetchKernel(k);
-  for (const auto& inbox : eng.snapshotInboxes())
+  for (const auto& inbox : test_support::residentInboxes(eng))
     for (const Delivery& d : inbox) {
       res.flatInboxes.push_back(d.src);
       res.flatInboxes.insert(res.flatInboxes.end(), d.payload.begin(),

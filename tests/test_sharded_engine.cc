@@ -1,7 +1,9 @@
 // The sharded multi-process RoundEngine backend: cross-shard equivalence
-// (1-shard, N-shard, 1-thread, N-thread runs of one workload are
-// bit-identical — rounds, traffic ledger, delivery contents — on all three
-// topologies), the resident-worker protocol (fork once, pid stability,
+// (1-shard, N-shard, 1-thread, N-thread kernel-round runs of one workload
+// are bit-identical — rounds, traffic ledger, delivery contents — on all
+// three topologies, and equal to the same rounds built coordinator-side),
+// coordinator-built exchange() rounds staying in-process (they never fork
+// a worker), the resident-worker protocol (fork once, pid stability,
 // kernel-owned state, worker-lifecycle failure modes), the round barrier's
 // failure modes, the closure step's in-process-only contract, and the
 // facades running sharded end-to-end.
@@ -14,11 +16,14 @@
 #include <signal.h>
 
 #include <cstdlib>
+#include <functional>
 #include <memory>
 #include <mutex>
+#include <string>
 
 #include "cclique/clique.hpp"
 #include "graph/generators.hpp"
+#include "inbox_probe.hpp"
 #include "mpc/dist_spanner.hpp"
 #include "mpc/simulator.hpp"
 #include "pram/pram.hpp"
@@ -38,6 +43,7 @@ using runtime::MpcTopology;
 using runtime::PramTopology;
 using runtime::RoundEngine;
 using runtime::Topology;
+using runtime::Transport;
 using runtime::shard::ShardedEngine;
 using runtime::shard::ShardError;
 
@@ -66,16 +72,84 @@ void finishTrace(Trace& trace, RoundEngine& eng) {
   trace.maxRound = eng.maxRoundWords();
 }
 
+/// Replays coordinator-built outboxes as a kernel round. The args carry
+/// the whole round — per source machine a message count, then (dst,
+/// length, payload words) per message — and every machine emits its own
+/// outbox, so on a sharded engine the messages leave from and land in the
+/// resident workers (cross-shard sections, worker-side validation, the
+/// barrier), not the coordinator.
+class ReplayKernel final : public runtime::StepKernel {
+ public:
+  static std::string kernelName() { return "test.replay"; }
+
+  std::vector<Message> step(const runtime::KernelCtx& ctx) override {
+    const std::vector<Word>& a = ctx.args;
+    std::size_t i = 0;
+    for (std::size_t m = 0; m < ctx.machine; ++m)
+      for (Word count = a[i++]; count > 0; --count) i += 2 + a[i + 1];
+    std::vector<Message> out;
+    for (Word count = a[i++]; count > 0; --count) {
+      out.push_back({a[i], runtime::Payload(a.data() + i + 2, a[i + 1])});
+      i += 2 + a[i + 1];
+    }
+    return out;
+  }
+
+  static std::vector<Word> pack(const std::vector<std::vector<Message>>& out) {
+    std::vector<Word> args;
+    for (const auto& outbox : out) {
+      args.push_back(outbox.size());
+      for (const Message& msg : outbox) {
+        args.push_back(msg.dst);
+        args.push_back(msg.payload.size());
+        args.insert(args.end(), msg.payload.begin(), msg.payload.end());
+      }
+    }
+    return args;
+  }
+};
+
+/// How a workload's rounds reach the engine: as coordinator-built
+/// exchange() rounds (in-process on every engine), or replayed by
+/// ReplayKernel as kernel rounds (inside the workers when sharded).
+enum class Route { kExchange, kKernel };
+
+using RoundFn = std::function<std::vector<std::vector<Message>>(int round)>;
+
+/// Runs `rounds` rounds of makeRound's outboxes through `route` and traces
+/// every round's deliveries plus the ledger. `forked` reports whether the
+/// engine started its shard workers.
+Trace drive(RoundEngine& eng, int rounds, Route route,
+            const RoundFn& makeRound, bool* forked) {
+  const KernelId replay = eng.registerKernel(
+      ReplayKernel::kernelName(),
+      [] { return std::make_unique<ReplayKernel>(); });
+  Trace trace;
+  for (int round = 0; round < rounds; ++round) {
+    std::vector<std::vector<Message>> out = makeRound(round);
+    if (route == Route::kExchange) {
+      recordRound(trace, eng.exchange(std::move(out)));
+    } else {
+      eng.step(replay, ReplayKernel::pack(out));
+      recordRound(trace, test_support::residentInboxes(eng));
+    }
+  }
+  finishTrace(trace, eng);
+  if (forked)
+    *forked = eng.shardBackend() != nullptr && eng.shardBackend()->started();
+  return trace;
+}
+
 /// Deterministic all-to-all MPC workload with mixed payload sizes (1-word
 /// fast path and heap spills).
-Trace runMpcWorkload(std::size_t threads, std::size_t shards) {
+Trace runMpcWorkload(std::size_t threads, std::size_t shards,
+                     Route route = Route::kKernel, bool* forked = nullptr) {
   const std::size_t p = 16;
   RoundEngine eng(EngineConfig{p, threads, shards},
                   std::make_unique<MpcTopology>(6 * p));
   EXPECT_EQ(eng.numShards(), shards == 0 ? 1u : shards);
-  Trace trace;
   std::uint64_t h = 42;
-  for (int round = 0; round < 8; ++round) {
+  return drive(eng, 8, route, [&](int) {
     std::vector<std::vector<Message>> out(p);
     for (std::size_t src = 0; src < p; ++src)
       for (std::size_t k = 0; k < 3; ++k) {
@@ -86,15 +160,14 @@ Trace runMpcWorkload(std::size_t threads, std::size_t shards) {
         else
           out[src].push_back({dst, {h, h ^ src, h >> 7}});
       }
-    recordRound(trace, eng.exchange(std::move(out)));
-  }
-  finishTrace(trace, eng);
-  return trace;
+    return out;
+  }, forked);
 }
 
 TEST(ShardedEngine, MpcWorkloadBitIdenticalAcrossShardsAndThreads) {
-  const Trace base = runMpcWorkload(1, 1);
+  const Trace base = runMpcWorkload(1, 1, Route::kExchange);
   EXPECT_EQ(base.rounds, 8u);
+  EXPECT_EQ(base, runMpcWorkload(1, 1)) << "in-process kernel rounds";
   for (std::size_t shards : {2u, 3u, 4u, 16u})
     EXPECT_EQ(base, runMpcWorkload(1, shards)) << shards << " shards";
   EXPECT_EQ(base, runMpcWorkload(4, 4)) << "4 threads x 4 shards";
@@ -102,54 +175,110 @@ TEST(ShardedEngine, MpcWorkloadBitIdenticalAcrossShardsAndThreads) {
 }
 
 /// Clique workload: every node sends one word to a few distinct peers.
-Trace runCliqueWorkload(std::size_t threads, std::size_t shards) {
+Trace runCliqueWorkload(std::size_t threads, std::size_t shards,
+                        Route route = Route::kKernel, bool* forked = nullptr) {
   const std::size_t n = 12;
   RoundEngine eng(EngineConfig{n, threads, shards},
                   std::make_unique<CliqueTopology>());
-  Trace trace;
-  for (int round = 1; round <= 6; ++round) {
+  return drive(eng, 6, route, [&](int r) {
+    const int round = r + 1;
     std::vector<std::vector<Message>> out(n);
     for (std::size_t src = 0; src < n; ++src)
       for (int j = 0; j < 3; ++j)  // offsets round + {0,4,8}: distinct mod 12
         out[src].push_back(
             {(src + static_cast<std::size_t>(round + j * 4)) % n,
              {src * 1000 + static_cast<std::size_t>(round * 10 + j)}});
-    recordRound(trace, eng.exchange(std::move(out)));
-  }
-  finishTrace(trace, eng);
-  return trace;
+    return out;
+  }, forked);
 }
 
 TEST(ShardedEngine, CliqueWorkloadBitIdenticalAcrossShards) {
-  const Trace base = runCliqueWorkload(1, 1);
+  const Trace base = runCliqueWorkload(1, 1, Route::kExchange);
+  EXPECT_EQ(base, runCliqueWorkload(1, 1)) << "in-process kernel rounds";
   for (std::size_t shards : {2u, 4u})
     EXPECT_EQ(base, runCliqueWorkload(2, shards)) << shards << " shards";
 }
 
 /// PRAM workload: concurrent single-word writes; Priority-CRCW resolution
 /// (lowest writer id) must be identical shard-count independent.
-Trace runPramWorkload(std::size_t threads, std::size_t shards) {
+Trace runPramWorkload(std::size_t threads, std::size_t shards,
+                      Route route = Route::kKernel, bool* forked = nullptr) {
   const std::size_t n = 10;
   RoundEngine eng(EngineConfig{n, threads, shards},
                   std::make_unique<PramTopology>());
-  Trace trace;
-  for (int round = 0; round < 5; ++round) {
+  return drive(eng, 5, route, [&](int round) {
     std::vector<std::vector<Message>> out(n);
     for (std::size_t src = 0; src < n; ++src)
       out[src].push_back({(src * 7 + static_cast<std::size_t>(round)) % 3,
                           {src * 100 + static_cast<std::size_t>(round)}});
-    recordRound(trace, eng.exchange(std::move(out)));
-  }
-  finishTrace(trace, eng);
-  return trace;
+    return out;
+  }, forked);
 }
 
 TEST(ShardedEngine, PramPriorityWritesBitIdenticalAcrossShards) {
-  const Trace base = runPramWorkload(1, 1);
+  const Trace base = runPramWorkload(1, 1, Route::kExchange);
   // All attempted writes count as work even though only one lands per cell.
   EXPECT_EQ(base.words, 5u * 10u);
+  EXPECT_EQ(base, runPramWorkload(1, 1)) << "in-process kernel rounds";
   for (std::size_t shards : {2u, 4u, 5u})
     EXPECT_EQ(base, runPramWorkload(2, shards)) << shards << " shards";
+}
+
+TEST(ShardedEngine, ExchangeOnlyEngineNeverForksAndMatchesInProcess) {
+  // A coordinator-built round holds every outbox at the coordinator and
+  // touches no worker state, so it is delivered in-process on a sharded
+  // engine too: the workers never fork, and the rounds, ledger and
+  // contents equal the in-process engine's.
+  bool forked = true;
+  const Trace mpc = runMpcWorkload(1, 1, Route::kExchange);
+  EXPECT_EQ(mpc, runMpcWorkload(2, 4, Route::kExchange, &forked));
+  EXPECT_FALSE(forked) << "mpc";
+  const Trace clique = runCliqueWorkload(1, 1, Route::kExchange);
+  EXPECT_EQ(clique, runCliqueWorkload(2, 3, Route::kExchange, &forked));
+  EXPECT_FALSE(forked) << "clique";
+  const Trace pram = runPramWorkload(1, 1, Route::kExchange);
+  EXPECT_EQ(pram, runPramWorkload(2, 5, Route::kExchange, &forked));
+  EXPECT_FALSE(forked) << "pram";
+}
+
+TEST(ShardedEngine, KernelRoundAfterExchangeRoundsForksCleanly) {
+  // Exchange rounds run on the coordinator's pool, so its lanes are live
+  // when the first kernel round forks the workers. The fork must neither
+  // deadlock (a child inheriting a lane's half-started runtime state) nor
+  // change a result.
+  auto run = [](std::size_t threads, std::size_t shards) {
+    const std::size_t n = 12;
+    RoundEngine eng(EngineConfig{n, threads, shards},
+                    std::make_unique<MpcTopology>(64));
+    const KernelId replay = eng.registerKernel(
+        ReplayKernel::kernelName(),
+        [] { return std::make_unique<ReplayKernel>(); });
+    Trace trace;
+    for (int round = 0; round < 4; ++round) {
+      std::vector<std::vector<Message>> out(n);
+      for (std::size_t src = 0; src < n; ++src)
+        out[src].push_back({(src * 5 + static_cast<std::size_t>(round)) % n,
+                            {src, static_cast<Word>(round)}});
+      if (round < 2) {
+        recordRound(trace, eng.exchange(std::move(out)));
+        if (eng.shardBackend()) {
+          EXPECT_FALSE(eng.shardBackend()->started());
+        }
+      } else {
+        eng.step(replay, ReplayKernel::pack(out));
+        recordRound(trace, test_support::residentInboxes(eng));
+      }
+    }
+    if (eng.shardBackend()) {
+      EXPECT_TRUE(eng.shardBackend()->started());
+    }
+    finishTrace(trace, eng);
+    return trace;
+  };
+  const Trace base = run(1, 1);
+  EXPECT_EQ(base.rounds, 4u);
+  EXPECT_EQ(base, run(4, 2)) << "4 threads x 2 shards";
+  EXPECT_EQ(base, run(4, 3)) << "4 threads x 3 shards";
 }
 
 TEST(ShardedEngine, ClosureStepIsInProcessOnly) {
@@ -179,11 +308,13 @@ TEST(ShardedEngine, ClosureStepIsInProcessOnly) {
 }
 
 TEST(ShardedEngine, CapacityViolationAbortsTheRoundLoudly) {
+  // A coordinator-built round is validated where its outboxes are, at the
+  // coordinator, on a sharded engine as in-process.
   RoundEngine eng(EngineConfig{4, 1, 2}, std::make_unique<MpcTopology>(2));
   std::vector<std::vector<Message>> out(4);
-  out[3].push_back({0, {1, 2, 3}});  // sender over budget, validated by shard 1
+  out[3].push_back({0, {1, 2, 3}});  // sender over budget
   EXPECT_THROW(eng.exchange(std::move(out)), CapacityError);
-  // The engine survives an aborted round: the barrier released every worker.
+  // The engine survives an aborted round.
   std::vector<std::vector<Message>> ok(4);
   ok[0].push_back({3, {7}});
   const auto inbox = eng.exchange(std::move(ok));
@@ -196,24 +327,6 @@ TEST(ShardedEngine, UnknownDestinationThrowsInvalidArgument) {
   std::vector<std::vector<Message>> out(4);
   out[1].push_back({99, {1}});
   EXPECT_THROW(eng.exchange(std::move(out)), std::invalid_argument);
-}
-
-TEST(ShardedEngine, UnknownDestinationFromAnotherShardsSource) {
-  // The rogue source belongs to the LAST shard. The coordinator's one
-  // bounds scan covers every source before the receive sums are indexed
-  // or any frame is built, so nothing indexes out of bounds and the
-  // engine survives the rejected round.
-  RoundEngine eng(EngineConfig{8, 1, 4}, std::make_unique<MpcTopology>(8));
-  ASSERT_EQ(eng.numShards(), 4u);
-  std::vector<std::vector<Message>> out(8);
-  out[7].push_back({1u << 20, {1}});
-  EXPECT_THROW(eng.exchange(std::move(out)), std::invalid_argument);
-  std::vector<std::vector<Message>> ok(8);
-  ok[7].push_back({0, {5}});
-  const auto inbox = eng.exchange(std::move(ok));
-  ASSERT_EQ(inbox[0].size(), 1u);
-  EXPECT_EQ(inbox[0][0].payload[0], 5u);
-  EXPECT_EQ(eng.rounds(), 1u);
 }
 
 TEST(ShardedEngine, ShardCountClampsToMachines) {
@@ -287,11 +400,10 @@ TEST(ResidentWorkers, ForkOncePidsStableAcrossRounds) {
   ASSERT_NE(backend, nullptr);
   EXPECT_FALSE(backend->started());  // lazy: nothing forked yet
 
-  auto oneRound = [&] {
-    std::vector<std::vector<Message>> out(8);
-    for (std::size_t m = 0; m < 8; ++m) out[m].push_back({(m + 3) % 8, {m}});
-    eng.exchange(std::move(out));
-  };
+  const KernelId k = eng.registerKernel(
+      CounterKernel::kernelName(),
+      [] { return std::make_unique<CounterKernel>(); });
+  auto oneRound = [&] { eng.step(k); };
   oneRound();
   const std::vector<pid_t> pids = backend->workerPids();
   ASSERT_EQ(pids.size(), 4u);
@@ -322,7 +434,7 @@ TEST(ResidentWorkers, KernelStatePersistsAndMatchesInProcessBitForBit) {
       bool operator==(const Result&) const = default;
     } res;
     res.counters = eng.fetchKernel(k);
-    for (const auto& inbox : eng.snapshotInboxes())
+    for (const auto& inbox : test_support::residentInboxes(eng))
       for (const Delivery& d : inbox) {
         res.flatInboxes.push_back(d.src);
         res.flatInboxes.insert(res.flatInboxes.end(), d.payload.begin(),
@@ -349,7 +461,7 @@ TEST(ResidentWorkers, KernelThrowMidRoundAbortsRoundForAllShards) {
       [] { return std::make_unique<CounterKernel>(); });
   eng.step(k);
   EXPECT_EQ(eng.rounds(), 1u);
-  const auto inboxesBefore = eng.snapshotInboxes();
+  const auto inboxesBefore = test_support::residentInboxes(eng);
   // Machine 2 (shard 1) throws: the round aborts for every shard — ledger
   // untouched, no delivery of the aborted round lands in any resident
   // inbox — and the engine (and its workers) stay usable. Kernel state
@@ -359,7 +471,7 @@ TEST(ResidentWorkers, KernelThrowMidRoundAbortsRoundForAllShards) {
   // guarantee only covers committed rounds.
   EXPECT_THROW(eng.step(k, {1}), std::runtime_error);
   EXPECT_EQ(eng.rounds(), 1u);
-  const auto inboxesAfter = eng.snapshotInboxes();
+  const auto inboxesAfter = test_support::residentInboxes(eng);
   ASSERT_EQ(inboxesBefore.size(), inboxesAfter.size());
   for (std::size_t m = 0; m < inboxesBefore.size(); ++m) {
     ASSERT_EQ(inboxesBefore[m].size(), inboxesAfter[m].size());
@@ -393,6 +505,50 @@ TEST(ResidentWorkers, CapacityViolationInKernelRoundKeepsType) {
   EXPECT_EQ(eng.rounds(), 1u);
 }
 
+TEST(ResidentWorkers, UnknownDestinationFromLastShardRejectedOnBothTransports) {
+  // Phase A of a kernel round bounds-checks every destination inside the
+  // worker that owns the source, before any section leaves it. The rogue
+  // source is the last machine, so the last shard's worker must catch it:
+  // every backend rejects the round with the in-process std::invalid_argument,
+  // charges nothing, and runs the next round normally.
+  class Stray final : public runtime::StepKernel {
+   public:
+    std::vector<Message> step(const runtime::KernelCtx& ctx) override {
+      if (!ctx.args.empty() && ctx.machine == ctx.numMachines - 1)
+        return {{ctx.numMachines + 3, {1}}};
+      return {{(ctx.machine + 5) % ctx.numMachines, {ctx.machine}}};
+    }
+  };
+  struct Outcome {
+    std::string err;
+    Trace trace;
+    bool operator==(const Outcome&) const = default;
+  };
+  auto run = [](std::size_t shards, Transport transport) {
+    RoundEngine eng(EngineConfig{8, 1, shards, transport},
+                    std::make_unique<MpcTopology>(16));
+    const KernelId k = eng.registerKernel(
+        "test.stray", [] { return std::make_unique<Stray>(); });
+    eng.step(k);
+    Outcome out;
+    try {
+      eng.step(k, {1});
+      ADD_FAILURE() << "a message past the last machine was delivered";
+    } catch (const std::invalid_argument& e) {
+      out.err = e.what();
+    }
+    eng.step(k);
+    recordRound(out.trace, test_support::residentInboxes(eng));
+    finishTrace(out.trace, eng);
+    return out;
+  };
+  const Outcome base = run(1, Transport::kDefault);
+  EXPECT_EQ(base.trace.rounds, 2u);
+  EXPECT_NE(base.err.find("unknown machine"), std::string::npos) << base.err;
+  EXPECT_EQ(run(4, Transport::kShmRing), base) << "shm";
+  EXPECT_EQ(run(4, Transport::kTcp), base) << "tcp";
+}
+
 TEST(ResidentWorkers, PostForkRegistrationResolvesViaGlobalRegistry) {
   // The workers fork at the first round; a kernel registered afterwards can
   // only reach them by name through the process-global registry (that is
@@ -401,15 +557,19 @@ TEST(ResidentWorkers, PostForkRegistrationResolvesViaGlobalRegistry) {
   runtime::registerGlobalKernel("test.counter.global", [] {
     return std::make_unique<CounterKernel>();
   });
+  auto firstRound = [](RoundEngine& e) {
+    e.step(e.registerKernel(CounterKernel::kernelName(), [] {
+      return std::make_unique<CounterKernel>();
+    }));
+  };
   RoundEngine eng(EngineConfig{8, 1, 4},
                   std::make_unique<MpcTopology>(16));
-  std::vector<std::vector<Message>> out(8);
-  out[0].push_back({5, {11}});
-  eng.exchange(std::move(out));  // forks the workers
+  firstRound(eng);  // forks the workers
   ASSERT_TRUE(eng.shardBackend()->started());
   const KernelId k = eng.registerKernel("test.counter.global");
   for (int r = 0; r < 3; ++r) eng.step(k);
   RoundEngine ref(EngineConfig{8, 1, 1}, std::make_unique<MpcTopology>(16));
+  firstRound(ref);
   const KernelId rk = ref.registerKernel("test.counter.global");
   for (int r = 0; r < 3; ++r) ref.step(rk);
   EXPECT_EQ(eng.fetchKernel(k), ref.fetchKernel(rk));
@@ -423,11 +583,10 @@ TEST(ResidentWorkers, PostForkRegistrationResolvesViaGlobalRegistry) {
 TEST(ResidentWorkers, WorkerDeathBetweenRoundsSurfacesAsShardError) {
   auto eng = std::make_unique<RoundEngine>(EngineConfig{8, 1, 4},
                                            std::make_unique<MpcTopology>(16));
-  auto oneRound = [&] {
-    std::vector<std::vector<Message>> out(8);
-    out[1].push_back({6, {9}});
-    eng->exchange(std::move(out));
-  };
+  const KernelId k = eng->registerKernel(
+      CounterKernel::kernelName(),
+      [] { return std::make_unique<CounterKernel>(); });
+  auto oneRound = [&] { eng->step(k); };
   oneRound();
   const std::vector<pid_t> pids = eng->shardBackend()->workerPids();
   ASSERT_EQ(pids.size(), 4u);
@@ -452,9 +611,9 @@ TEST(ResidentWorkers, DestructorReapsIdleWorkers) {
   {
     RoundEngine eng(EngineConfig{6, 1, 3},
                     std::make_unique<MpcTopology>(16));
-    std::vector<std::vector<Message>> out(6);
-    out[0].push_back({5, {1}});
-    eng.exchange(std::move(out));
+    eng.step(eng.registerKernel(CounterKernel::kernelName(), [] {
+      return std::make_unique<CounterKernel>();
+    }));
     pids = eng.shardBackend()->workerPids();
     ASSERT_EQ(pids.size(), 3u);
   }
@@ -487,7 +646,7 @@ TEST(ResidentWorkers, ExchangeRoundsLeaveKernelInboxesAlone) {
           flat.insert(flat.end(), d.payload.begin(), d.payload.end());
         }
     }
-    for (const auto& inbox : eng.snapshotInboxes())
+    for (const auto& inbox : test_support::residentInboxes(eng))
       for (const Delivery& d : inbox) {
         flat.push_back(d.src);
         flat.insert(flat.end(), d.payload.begin(), d.payload.end());

@@ -28,6 +28,7 @@
 #include <string>
 #include <thread>
 
+#include "inbox_probe.hpp"
 #include "runtime/round_engine.hpp"
 #include "runtime/shard/peer_mesh.hpp"
 #include "runtime/shard/sharded_engine.hpp"
@@ -133,7 +134,7 @@ struct Result {
 Result observe(RoundEngine& eng, KernelId k) {
   Result res;
   res.fetched = eng.fetchKernel(k);
-  for (const auto& inbox : eng.snapshotInboxes())
+  for (const auto& inbox : test_support::residentInboxes(eng))
     for (const Delivery& d : inbox) {
       res.flatInboxes.push_back(d.src);
       res.flatInboxes.insert(res.flatInboxes.end(), d.payload.begin(),
@@ -335,10 +336,9 @@ TEST(ShmExchange, PeerDeathMidExchangeSurfacesShardErrorForAll) {
     const KernelId k = eng.registerKernel(
         ShmProbeKernel::kernelName(),
         [] { return std::make_unique<ShmProbeKernel>(); });
-    // Fork the workers on a round that does not reach the fault hook.
-    std::vector<std::vector<Message>> out(8);
-    out[0].push_back({7, {1}});
-    eng.exchange(std::move(out));
+    // Fork the workers on a kernel phase that does not reach the fault
+    // hook (it fires only before a STEP report).
+    eng.stepLocal(k);
     pids = eng.shardBackend()->workerPids();
     ASSERT_EQ(pids.size(), 4u);
     EXPECT_THROW(eng.step(k), ShardError);

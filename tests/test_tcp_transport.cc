@@ -21,6 +21,7 @@
 #include <thread>
 #include <utility>
 
+#include "inbox_probe.hpp"
 #include "runtime/round_engine.hpp"
 #include "runtime/shard/sharded_engine.hpp"
 #include "runtime/shard/transport.hpp"
@@ -115,7 +116,7 @@ struct Result {
 Result observe(RoundEngine& eng, KernelId k) {
   Result res;
   res.fetched = eng.fetchKernel(k);
-  for (const auto& inbox : eng.snapshotInboxes())
+  for (const auto& inbox : test_support::residentInboxes(eng))
     for (const Delivery& d : inbox) {
       res.flatInboxes.push_back(d.src);
       res.flatInboxes.insert(res.flatInboxes.end(), d.payload.begin(),
@@ -278,10 +279,9 @@ TEST(TcpTransport, PeerDeathMidExchangeSurfacesShardErrorForAll) {
     const KernelId k = eng.registerKernel(
         TcpProbeKernel::kernelName(),
         [] { return std::make_unique<TcpProbeKernel>(); });
-    // Fork the workers on a round that does not reach the fault hook.
-    std::vector<std::vector<Message>> out(8);
-    out[0].push_back({7, {1}});
-    eng.exchange(std::move(out));
+    // Fork the workers on a kernel phase that does not reach the fault
+    // hook (it fires only before a STEP report).
+    eng.stepLocal(k);
     pids = eng.shardBackend()->workerPids();
     ASSERT_EQ(pids.size(), 4u);
     EXPECT_THROW(eng.step(k), ShardError);
@@ -295,30 +295,47 @@ TEST(TcpTransport, PeerDeathMidExchangeSurfacesShardErrorForAll) {
   }
 }
 
-TEST(TcpTransport, ExchangeRoundsAndBlocksRideTheTcpBackend) {
-  // The non-kernel surfaces — coordinator-built exchange rounds and
-  // worker-resident blocks — must behave identically over the tcp backend.
+TEST(TcpTransport, BlocksAndExchangeRoundsBesideTheTcpBackend) {
+  // Worker-resident blocks ride the tcp backend — staged ones cross with
+  // the fork snapshot, later ones over the wire — and a coordinator-built
+  // exchange round beside the live workers is delivered in-process without
+  // disturbing their resident inboxes: identical to the in-process engine.
   RoundEngine tcp(EngineConfig{6, 1, 3, Transport::kTcp},
                   std::make_unique<MpcTopology>(64));
   RoundEngine ref(EngineConfig{6, 1, 1},
                   std::make_unique<MpcTopology>(64));
   std::vector<std::vector<Word>> flat(2);
-  for (int e = 0; e < 2; ++e) {
-    RoundEngine* eng = e == 0 ? &tcp : &ref;
-    std::vector<std::vector<Word>> per(6);
-    for (std::size_t m = 0; m < 6; ++m) per[m] = {m * 10 + 1, m * 10 + 2};
-    const std::uint64_t h = eng->createBlocks(per);
-    std::vector<std::vector<Message>> out(6);
-    for (std::size_t m = 0; m < 6; ++m)
-      out[m].push_back({(m + 1) % 6, {m, m ^ 7}});
-    for (const auto& inbox : eng->exchange(std::move(out)))
+  auto record = [&flat](int e, const std::vector<std::vector<Delivery>>& in) {
+    for (const auto& inbox : in)
       for (const Delivery& d : inbox) {
         flat[e].push_back(d.src);
         flat[e].insert(flat[e].end(), d.payload.begin(), d.payload.end());
       }
-    EXPECT_EQ(eng->readBlocks(h), per);
-    eng->freeBlocks(h);
+  };
+  for (int e = 0; e < 2; ++e) {
+    RoundEngine* eng = e == 0 ? &tcp : &ref;
+    std::vector<std::vector<Word>> staged(6), shipped(6);
+    for (std::size_t m = 0; m < 6; ++m) {
+      staged[m] = {m * 10 + 1, m * 10 + 2};
+      shipped[m] = {m * 7, m * 7 + 3, m};
+    }
+    const std::uint64_t h1 = eng->createBlocks(staged);
+    const KernelId k = eng->registerKernel(
+        TcpProbeKernel::kernelName(),
+        [] { return std::make_unique<TcpProbeKernel>(); });
+    eng->step(k);  // forks the tcp workers
+    const std::uint64_t h2 = eng->createBlocks(shipped);
+    std::vector<std::vector<Message>> out(6);
+    for (std::size_t m = 0; m < 6; ++m)
+      out[m].push_back({(m + 1) % 6, {m, m ^ 7}});
+    record(e, eng->exchange(std::move(out)));
+    record(e, test_support::residentInboxes(*eng));
+    EXPECT_EQ(eng->readBlocks(h1), staged);
+    EXPECT_EQ(eng->readBlocks(h2), shipped);
+    eng->freeBlocks(h1);
+    eng->freeBlocks(h2);
   }
+  EXPECT_TRUE(tcp.shardBackend()->started());
   EXPECT_EQ(flat[0], flat[1]);
   EXPECT_EQ(tcp.rounds(), ref.rounds());
   EXPECT_EQ(tcp.totalWordsSent(), ref.totalWordsSent());
