@@ -10,6 +10,7 @@
 #include <string>
 #include <unordered_map>
 
+#include "apsp/sketches.hpp"
 #include "graph/distance.hpp"
 #include "graph/generators.hpp"
 #include "mpc/dist_iteration.hpp"
@@ -268,6 +269,23 @@ void BM_ArenaBlockChurn(benchmark::State& state) {
                           static_cast<std::int64_t>(kMachines));
 }
 BENCHMARK(BM_ArenaBlockChurn)->Arg(1)->Arg(0)->Unit(benchmark::kMicrosecond);
+
+// The Thorup-Zwick sketch build on a serve-mixed-like input (sparse
+// weighted G(n,m), n = 10k, average degree 14, k = 3), on the default pool:
+// MPCSPAN_THREADS sets its lanes, so the CI lane sweep times 1 vs N lanes.
+void BM_SketchBuild(benchmark::State& state) {
+  const std::size_t n = 10000;
+  Rng rng(101);
+  const Graph g = gnmRandom(n, 7 * n, rng, {WeightModel::kUniform, 100.0}, true);
+  std::size_t relaxations = 0;
+  for (auto _ : state) {
+    const DistanceSketches sk(g, {.k = 3, .seed = 2});
+    relaxations = sk.preprocessingRelaxations();
+    benchmark::DoNotOptimize(relaxations);
+  }
+  state.counters["relaxations"] = static_cast<double>(relaxations);
+}
+BENCHMARK(BM_SketchBuild)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 void BM_VerifyPairStretch(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

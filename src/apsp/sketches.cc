@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
+#include <mutex>
 #include <queue>
+#include <span>
 #include <stdexcept>
-#include <unordered_map>
 
 #include "graph/connectivity.hpp"
 #include "graph/distance.hpp"
@@ -15,11 +17,49 @@ namespace mpcspan {
 namespace {
 using QItem = std::pair<Weight, VertexId>;
 using MinHeap = std::priority_queue<QItem, std::vector<QItem>, std::greater<>>;
+
+using Settled = std::pair<VertexId, Weight>;
+
+/// Entries per emission block (1 MiB): large enough that a lane allocates
+/// rarely, so sources do not contend on the allocator.
+constexpr std::size_t kBlockEntries = std::size_t{1} << 16;
+
+/// One lane's scratch for the bunch searches: distances (kInfDist when
+/// untouched), the vertices to reset, the heap, the current source's
+/// settled (v, d) list, and the blocks that keep every source's list.
+struct Workspace {
+  explicit Workspace(std::size_t n) : dist(n, kInfDist) {}
+  std::vector<Weight> dist;
+  std::vector<VertexId> touched;
+  MinHeap heap;
+  std::vector<Settled> settled;
+  std::vector<std::vector<Settled>> blocks;
+
+  /// Appends `settled` whole to the last block (a new one if it does not
+  /// fit; blocks never reallocate) and returns where it landed.
+  std::span<const Settled> keepSettled() {
+    if (blocks.empty() ||
+        blocks.back().capacity() - blocks.back().size() < settled.size()) {
+      blocks.emplace_back();
+      blocks.back().reserve(std::max(kBlockEntries, settled.size()));
+    }
+    std::vector<Settled>& block = blocks.back();
+    const std::size_t at = block.size();
+    block.insert(block.end(), settled.begin(), settled.end());
+    return {block.data() + at, settled.size()};
+  }
+};
 }  // namespace
 
-DistanceSketches::DistanceSketches(const Graph& g, const SketchParams& params)
+DistanceSketches::DistanceSketches(const Graph& g, const SketchParams& params,
+                                   runtime::ThreadPool* pool)
     : k_(std::max<std::uint32_t>(params.k, 1)), n_(g.numVertices()) {
-  build(g, params.seed);
+  if (pool) {
+    build(g, params.seed, *pool);
+    return;
+  }
+  runtime::ThreadPool own;  // default lanes, joined before returning
+  build(g, params.seed, own);
 }
 
 DistanceSketches::DistanceSketches(SketchTables t)
@@ -65,7 +105,8 @@ SketchTables DistanceSketches::exportTables() const {
   return t;
 }
 
-void DistanceSketches::build(const Graph& g, std::uint64_t seed) {
+void DistanceSketches::build(const Graph& g, std::uint64_t seed,
+                             runtime::ThreadPool& pool) {
   // Levels: A_0 = V; A_i keeps each member of A_{i-1} with prob n^{-1/k}.
   const double p =
       std::pow(static_cast<double>(std::max<std::size_t>(n_, 2)),
@@ -83,12 +124,14 @@ void DistanceSketches::build(const Graph& g, std::uint64_t seed) {
     levelSizes_.push_back(static_cast<VertexId>(lvl.size()));
 
   // Pivots: multi-source Dijkstra from each level (level k == empty set,
-  // distance infinity by convention).
+  // distance infinity by convention), one level per task.
   pivotDist_.assign(k_ + 1, std::vector<Weight>(n_, kInfDist));
   pivot_.assign(k_ + 1, std::vector<VertexId>(n_, kNoVertex));
-  for (std::uint32_t i = 0; i < k_; ++i) {
+  std::vector<std::uint64_t> pivotRelax(k_, 0);
+  pool.parallelFor(k_, [&](std::size_t i) {
     auto& dist = pivotDist_[i];
     auto& piv = pivot_[i];
+    std::uint64_t count = 0;
     MinHeap heap;
     for (VertexId s : levels[i]) {
       dist[s] = 0;
@@ -101,7 +144,7 @@ void DistanceSketches::build(const Graph& g, std::uint64_t seed) {
       if (d > dist[v]) continue;
       for (const Incidence& inc : g.neighbors(v)) {
         const Weight nd = d + g.edge(inc.edge).w;
-        ++relaxations_;
+        ++count;
         if (nd < dist[inc.to]) {
           dist[inc.to] = nd;
           piv[inc.to] = piv[v];
@@ -109,67 +152,94 @@ void DistanceSketches::build(const Graph& g, std::uint64_t seed) {
         }
       }
     }
-  }
+    pivotRelax[i] = count;
+  });
 
-  // Bunches: for each w in A_i \ A_{i+1}, a Dijkstra truncated to the
-  // region where d(w, v) < d(A_{i+1}, v). Emissions are collected per
-  // vertex and flattened to w-sorted arrays afterwards; a vertex can be
-  // re-settled at its final distance along tied paths, so emissions are
-  // deduplicated by w (the duplicates carry the identical distance).
-  std::vector<std::vector<std::pair<VertexId, Weight>>> tmp(n_);
+  // Bunches: every vertex w is a source at exactly one level i (w in
+  // A_i \ A_{i+1}); its Dijkstra is truncated to the region where
+  // d(w, v) < d(A_{i+1}, v). Each source is one task on the pool and writes
+  // only its own slot of `emitted` and `relax`. The search runs on a dense
+  // distance array reset through its touched list; a lane holds one such
+  // workspace at a time, so at most numThreads() of them exist. The
+  // workspaces, and with them the emitted lists, live until the flatten.
+  std::vector<std::span<const Settled>> emitted(n_);
+  std::vector<std::uint64_t> relax(n_, 0);
+  std::mutex idleMutex;
+  std::vector<std::unique_ptr<Workspace>> idle;
   std::vector<char> inNext(n_, 0);
+  std::vector<VertexId> sources;
   for (std::uint32_t i = 0; i < k_; ++i) {
     std::fill(inNext.begin(), inNext.end(), 0);
     if (i + 1 < k_)
       for (VertexId v : levels[i + 1]) inNext[v] = 1;
-    for (VertexId w : levels[i]) {
-      if (i + 1 < k_ && inNext[w]) continue;  // belongs to a higher level
-      std::unordered_map<VertexId, Weight> dist;
-      dist.emplace(w, 0.0);
-      MinHeap heap;
-      heap.emplace(0.0, w);
-      while (!heap.empty()) {
-        const auto [d, v] = heap.top();
-        heap.pop();
-        const auto dv = dist.find(v);
-        if (dv == dist.end() || d > dv->second) continue;
-        tmp[v].emplace_back(w, d);
+    sources.clear();
+    for (VertexId w : levels[i])
+      if (!inNext[w]) sources.push_back(w);  // else it belongs to a higher level
+    const std::vector<Weight>& bound = pivotDist_[i + 1];
+    pool.parallelFor(sources.size(), [&](std::size_t j) {
+      std::unique_ptr<Workspace> ws;
+      {
+        std::lock_guard<std::mutex> lock(idleMutex);
+        if (!idle.empty()) {
+          ws = std::move(idle.back());
+          idle.pop_back();
+        }
+      }
+      if (!ws) ws = std::make_unique<Workspace>(n_);
+      const VertexId w = sources[j];
+      auto& dist = ws->dist;
+      std::uint64_t count = 0;
+      dist[w] = 0;
+      ws->touched.push_back(w);
+      ws->heap.emplace(0.0, w);
+      while (!ws->heap.empty()) {
+        const auto [d, v] = ws->heap.top();
+        ws->heap.pop();
+        if (d > dist[v]) continue;
+        ws->settled.emplace_back(v, d);
         for (const Incidence& inc : g.neighbors(v)) {
           const Weight nd = d + g.edge(inc.edge).w;
-          ++relaxations_;
-          if (nd >= pivotDist_[i + 1][inc.to]) continue;  // TZ truncation
-          const auto it = dist.find(inc.to);
-          if (it == dist.end() || nd < it->second) {
+          ++count;
+          if (nd >= bound[inc.to]) continue;  // TZ truncation
+          if (nd < dist[inc.to]) {
+            if (dist[inc.to] == kInfDist) ws->touched.push_back(inc.to);
             dist[inc.to] = nd;
-            heap.emplace(nd, inc.to);
+            ws->heap.emplace(nd, inc.to);
           }
         }
       }
-    }
+      emitted[w] = ws->keepSettled();
+      relax[w] = count;
+      for (VertexId v : ws->touched) dist[v] = kInfDist;
+      ws->touched.clear();
+      ws->settled.clear();
+      std::lock_guard<std::mutex> lock(idleMutex);
+      idle.push_back(std::move(ws));
+    });
   }
 
+  relaxations_ = 0;
+  for (std::uint64_t r : pivotRelax) relaxations_ += r;
+  for (std::uint64_t r : relax) relaxations_ += r;
+
+  // Flatten: a counting sort by v. Sources are scattered in increasing w,
+  // so every segment comes out sorted by w. A source settles each vertex
+  // once (pops are nondecreasing and weights positive, so a settled vertex
+  // is never pushed again), so no (v, w) pair repeats. The tables therefore
+  // depend only on the graph and the seed, not on lane count or schedule.
   bunchStart_.assign(n_ + 1, 0);
-  for (std::size_t v = 0; v < n_; ++v) {
-    auto& b = tmp[v];
-    std::sort(b.begin(), b.end(),
-              [](const auto& a, const auto& c) { return a.first < c.first; });
-    b.erase(std::unique(b.begin(), b.end(),
-                        [](const auto& a, const auto& c) {
-                          return a.first == c.first;
-                        }),
-            b.end());
-    bunchStart_[v + 1] = bunchStart_[v] + b.size();
-  }
-  bunchW_.reserve(bunchStart_.back());
-  bunchDist_.reserve(bunchStart_.back());
-  for (std::size_t v = 0; v < n_; ++v) {
-    for (const auto& [w, d] : tmp[v]) {
-      bunchW_.push_back(w);
-      bunchDist_.push_back(d);
+  for (const auto& out : emitted)
+    for (const auto& e : out) ++bunchStart_[e.first + 1];
+  for (std::size_t v = 0; v < n_; ++v) bunchStart_[v + 1] += bunchStart_[v];
+  bunchW_.resize(bunchStart_.back());
+  bunchDist_.resize(bunchStart_.back());
+  std::vector<std::uint64_t> next(bunchStart_.begin(), bunchStart_.end() - 1);
+  for (VertexId w = 0; w < n_; ++w)
+    for (const auto& [v, d] : emitted[w]) {
+      const std::uint64_t at = next[v]++;
+      bunchW_[at] = w;
+      bunchDist_[at] = d;
     }
-    tmp[v].clear();
-    tmp[v].shrink_to_fit();
-  }
 }
 
 Weight DistanceSketches::query(VertexId u, VertexId v) const {

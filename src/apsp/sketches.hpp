@@ -9,9 +9,17 @@
 // expected bunch size O(k n^{1/k})) plus a helper that builds it on top of
 // any SpannerResult, with the composed stretch certificate.
 //
+// The build runs on a runtime::ThreadPool. The k pivot Dijkstras run one
+// level per task; every bunch source (each vertex is one, at its top
+// level) is one task. A lane searches on its own dense distance array,
+// reset through a touched list, and appends each source's settled (v, d)
+// list to its own emission blocks; the source's slot records where the
+// list landed and how many relaxations it took. A counting sort by v,
+// scattering sources in increasing w, then yields the flat tables. The
+// tables are bit-identical at every lane count and schedule.
+//
 // Bunches are stored as flat per-vertex (w, dist) arrays sorted by w —
-// query is a binary search over a contiguous segment, construction cost
-// and memory are the flat arrays instead of n hash maps, and the whole
+// query is a binary search over a contiguous segment, and the whole
 // structure round-trips through SketchTables for the build-once /
 // serve-many query artifacts (src/query/build.hpp). All query methods are
 // const and safe to call concurrently.
@@ -21,6 +29,7 @@
 #include <vector>
 
 #include "graph/graph.hpp"
+#include "runtime/thread_pool.hpp"
 #include "spanner/types.hpp"
 
 namespace mpcspan {
@@ -52,7 +61,11 @@ struct SketchTables {
 
 class DistanceSketches {
  public:
-  DistanceSketches(const Graph& g, const SketchParams& params);
+  /// Builds on `pool`; nullptr builds on a pool of
+  /// ThreadPool::defaultThreads() lanes that is joined before returning.
+  /// The tables are the same at every lane count.
+  DistanceSketches(const Graph& g, const SketchParams& params,
+                   runtime::ThreadPool* pool = nullptr);
 
   /// Adopts prebuilt tables (artifact load path). Throws
   /// std::invalid_argument on any internal inconsistency (size mismatch,
@@ -84,7 +97,7 @@ class DistanceSketches {
   const std::vector<VertexId>& levelSizes() const { return levelSizes_; }
 
  private:
-  void build(const Graph& g, std::uint64_t seed);
+  void build(const Graph& g, std::uint64_t seed, runtime::ThreadPool& pool);
 
   std::uint32_t k_;
   std::size_t n_;

@@ -77,7 +77,8 @@ QueryArtifact buildArtifact(const Graph& g, const BuildPlan& plan) {
   SpannerBuild sb = runSpanner(g, plan);
   const Graph h = subgraph(g, sb.edges);
   const SketchParams sp{plan.sketchK, plan.sketchSeed};
-  DistanceSketches sketches(h, sp);
+  runtime::ThreadPool pool(plan.threads);
+  DistanceSketches sketches(h, sp, &pool);
   const double composed = sketches.stretchBound() * sb.stretch;
   return QueryArtifact{g,
                        std::move(sb.edges),

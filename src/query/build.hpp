@@ -41,7 +41,8 @@ namespace mpcspan::query {
 
 /// Everything buildArtifact needs to know. `algo` is one of "tradeoff",
 /// "baswana-sen" (host engine), "dist-tradeoff", "dist-baswana-sen"
-/// (sharded MPC simulator; `threads`/`shards`/`gamma` apply).
+/// (sharded MPC simulator; `shards`/`gamma` apply). `threads` applies to
+/// every algo: the sketch build's lanes, and the simulator's for dist-*.
 struct BuildPlan {
   std::string algo = "tradeoff";
   std::uint32_t k = 8;
@@ -50,7 +51,9 @@ struct BuildPlan {
   std::uint32_t sketchK = 3;
   std::uint64_t sketchSeed = 1;
   std::size_t cacheSources = 64;  // oracle LRU capacity when serving
-  std::size_t threads = 0;        // dist-*: simulator stepping threads
+  std::size_t threads = 0;        // build lanes: dist-* simulator and sketch
+                                  // build; 0 = MPCSPAN_THREADS/hardware.
+                                  // The artifact is the same at any count.
   std::size_t shards = 0;         // dist-*: simulator shards
   double gamma = 0.5;             // dist-*: machine memory exponent
 };

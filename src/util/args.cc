@@ -134,8 +134,14 @@ std::uint16_t ArgParser::getPort(const std::string& name) const {
 }
 
 bool ArgParser::getBool(const std::string& name) const {
-  const std::string v = get(name);
-  return v == "true" || v == "1" || v == "yes" || v == "on";
+  std::string v = get(name);
+  if (v.empty()) v = specs_.at(name).defaultValue;
+  if (v.empty() || v == "false" || v == "0" || v == "no" || v == "off")
+    return false;
+  if (v == "true" || v == "1" || v == "yes" || v == "on") return true;
+  throw std::invalid_argument("--" + name +
+                              ": expected true/1/yes/on or false/0/no/off, "
+                              "got '" + v + "'");
 }
 
 std::string ArgParser::usage() const {

@@ -34,6 +34,9 @@ class ArgParser {
   std::size_t getCount(const std::string& name) const;
   /// getInt restricted to a TCP port, [0, 65535] (0 = ephemeral).
   std::uint16_t getPort(const std::string& name) const;
+  /// Accepts true/1/yes/on and false/0/no/off; an empty value reads as
+  /// the flag's default (false if that is empty too). Anything else throws
+  /// std::invalid_argument naming the flag.
   bool getBool(const std::string& name) const;
 
   bool helpRequested() const { return helpRequested_; }

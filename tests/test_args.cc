@@ -69,9 +69,11 @@ TEST(Args, BoolAcceptsSeveralSpellings) {
     ASSERT_TRUE(parse(p, {"--on", v}));
     EXPECT_TRUE(p.getBool("on")) << v;
   }
-  ArgParser p = makeParser();
-  ASSERT_TRUE(parse(p, {"--on", "false"}));
-  EXPECT_FALSE(p.getBool("on"));
+  for (const char* v : {"false", "0", "no", "off"}) {
+    ArgParser p = makeParser();
+    ASSERT_TRUE(parse(p, {"--on", v}));
+    EXPECT_FALSE(p.getBool("on")) << v;
+  }
 }
 
 TEST(Args, UnknownFlagRejected) {
@@ -100,7 +102,7 @@ TEST(Args, UnregisteredGetThrows) {
   EXPECT_THROW(p.get("nope"), std::invalid_argument);
 }
 
-/// The std::invalid_argument message a numeric read throws ("" if none).
+/// The std::invalid_argument message a strict read throws ("" if none).
 template <class Fn>
 std::string numericError(Fn&& read) {
   try {
@@ -178,6 +180,39 @@ TEST(Args, EmptyDefaultIsReadOnlyWhenGiven) {
   ASSERT_TRUE(parse(q, {"--u", "17"}));
   ASSERT_TRUE(q.has("u"));
   EXPECT_EQ(q.getCount("u"), 17u);
+}
+
+TEST(Args, BoolRejectsGarbageAndKeepsTheBareForm) {
+  // A typo must not silently turn a switch off: "--audit maybe" is an
+  // error naming the flag, as a malformed number is.
+  auto makeAudit = [] {
+    ArgParser p("tool", "test tool");
+    p.flag("audit", "false", "a switch").flag("cached", "true", "a switch");
+    return p;
+  };
+  for (const char* bad : {"maybe", "tru", "2", "TRUE "}) {
+    ArgParser p = makeAudit();
+    ASSERT_TRUE(parse(p, {"--audit", bad}));
+    EXPECT_NE(numericError([&] { (void)p.getBool("audit"); }).find("--audit"),
+              std::string::npos)
+        << bad;
+  }
+  ArgParser bare = makeAudit();
+  ASSERT_TRUE(parse(bare, {"--audit"}));
+  EXPECT_TRUE(bare.getBool("audit"));
+  ArgParser beforeFlag = makeAudit();
+  ASSERT_TRUE(parse(beforeFlag, {"--audit", "--cached=off"}));
+  EXPECT_TRUE(beforeFlag.getBool("audit"));
+  EXPECT_FALSE(beforeFlag.getBool("cached"));
+  // Unset and empty read as the flag's default.
+  ArgParser unset = makeAudit();
+  ASSERT_TRUE(parse(unset, {}));
+  EXPECT_FALSE(unset.getBool("audit"));
+  EXPECT_TRUE(unset.getBool("cached"));
+  ArgParser empty = makeAudit();
+  ASSERT_TRUE(parse(empty, {"--audit=", "--cached="}));
+  EXPECT_FALSE(empty.getBool("audit"));
+  EXPECT_TRUE(empty.getBool("cached"));
 }
 
 // --- Env knobs: the same strict parse as the flags. ---

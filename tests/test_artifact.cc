@@ -93,6 +93,22 @@ TEST(Artifact, DistributedBuildRoundTrips) {
   EXPECT_LE(est, b.composedStretch * exact + 1e-9);
 }
 
+TEST(Artifact, BuildIsByteIdenticalAtAnyLaneCount) {
+  // The sketch build runs on BuildPlan::threads lanes; the saved bytes
+  // must not depend on how many.
+  query::BuildPlan plan;
+  plan.algo = "tradeoff";
+  plan.k = 4;
+  plan.sketchK = 3;
+  const Graph g = testGraph(600, 3000);
+  plan.threads = 1;
+  const std::string one = serialized(query::buildArtifact(g, plan));
+  plan.threads = 4;
+  const std::string four = serialized(query::buildArtifact(g, plan));
+  EXPECT_EQ(one.size(), four.size());
+  EXPECT_TRUE(one == four);
+}
+
 TEST(Artifact, FileRoundTrip) {
   const auto a = buildSmall();
   const std::string path = testing::TempDir() + "artifact_roundtrip.mpqa";

@@ -52,6 +52,20 @@ def arena_churn(d):
     print()
 
 
+def sketch_build(d):
+    print("### Sketch build, 1 lane vs N lanes (bench_micro BM_SketchBuild)\n")
+    print("| 1 lane | N lanes | speedup |")
+    print("|---|---|---|")
+    times = []
+    for tag in ("lanes1", "lanesN"):
+        rows = [b for b in load(d, f"BENCH_micro_{tag}.json")["benchmarks"]
+                if b["name"].startswith("BM_SketchBuild")]
+        times.append((rows[0]["real_time"], rows[0]["time_unit"]))
+    (one, unit), (many, _) = times
+    print(f"| {one:.1f} {unit} | {many:.1f} {unit} | {one / many:.2f}x |")
+    print()
+
+
 def pool_scaling(d):
     print("### Pool scaling (bench_t8_primitives, sort_ms by config)\n")
     print("| n | gamma | 1 lane | N lanes | N shards |")
@@ -105,7 +119,7 @@ def serving_daemon(d):
 def main():
     directory = sys.argv[1] if len(sys.argv) > 1 else "."
     for table in (iteration_dispatch, cross_shard_exchange, arena_churn,
-                  pool_scaling, query_path, serving_daemon):
+                  sketch_build, pool_scaling, query_path, serving_daemon):
         table(directory)
 
 

@@ -139,7 +139,9 @@ int runBuildOracle(int argc, const char* const* argv) {
       .flag("k", "8", "spanner stretch parameter")
       .flag("t", "0", "trade-off growth iterations (0 = log k)")
       .flag("gamma", "0.5", "machine-memory exponent (dist-* simulator)")
-      .flag("threads", "0", "simulator stepping-pool lanes (dist-*)")
+      .flag("threads", "0",
+            "build lanes: dist-* simulator and sketch build; 0 = "
+            "MPCSPAN_THREADS/hardware")
       .flag("shards", "0", "simulator worker processes (dist-*)")
       .flag("sketch-k", "3", "Thorup-Zwick levels (stretch 2k-1 on the spanner)")
       .flag("sketch-seed", "1", "sketch sampling seed")
@@ -333,8 +335,10 @@ int runQuery(int argc, const char* const* argv) {
     return 0;
   }
   try {
+    const bool audit = args.getBool("audit");
+    const bool cachedOnly = args.getBool("cached-only");
     if (!args.get("connect").empty()) {
-      if (args.getBool("audit"))
+      if (audit)
         throw std::invalid_argument(
             "--audit needs the graph and is local-only; drop --connect");
       return runQueryConnected(args);
@@ -351,7 +355,7 @@ int runQuery(int argc, const char* const* argv) {
     if (n == 0) throw std::runtime_error("artifact graph is empty");
 
     query::QueryPlaneOptions opt;
-    opt.spannerCachedOnly = args.getBool("cached-only");
+    opt.spannerCachedOnly = cachedOnly;
     query::QueryPlane plane = query::makeQueryPlane(a, opt);
 
     const auto clientThreads = std::max<std::size_t>(1, args.getCount("threads"));
@@ -420,7 +424,7 @@ int runQuery(int argc, const char* const* argv) {
                  elapsed > 0 ? static_cast<double>(q) / elapsed : 0.0,
                  clientThreads);
 
-    if (args.getBool("audit")) {
+    if (audit) {
       const query::AuditReport report =
           query::auditEnvelope(a.graph, pairs, answers, a.composedStretch);
       for (const query::AuditViolation& bad : report.violations)
@@ -489,6 +493,7 @@ int main(int argc, char** argv) {
   }
 
   try {
+    const bool verify = args.getBool("verify");
     const Graph g = loadGraph(args);
     std::fprintf(stdout, "graph: n=%zu m=%zu %s\n", g.numVertices(), g.numEdges(),
                  g.isUnweighted() ? "(unweighted)" : "(weighted)");
@@ -531,7 +536,7 @@ int main(int argc, char** argv) {
                                       static_cast<double>(g.numEdges())
                                 : 0.0,
                    k, r.iterations, r.simulatorRounds, r.wordsMoved);
-      if (args.getBool("verify")) {
+      if (verify) {
         const StretchReport report = verifySpanner(
             g, r.edges, bound, {.maxEdgeChecks = 4000, .pairSources = 4});
         std::fprintf(stdout,
@@ -566,7 +571,7 @@ int main(int argc, char** argv) {
     std::fprintf(stdout, "certified stretch <= %.1f; ledger: %s\n", r.stretchBound,
                  r.cost.ledgerString().c_str());
 
-    if (args.getBool("verify")) {
+    if (verify) {
       const StretchReport report = verifySpanner(
           g, r.edges, r.stretchBound, {.maxEdgeChecks = 4000, .pairSources = 4});
       std::fprintf(stdout,
